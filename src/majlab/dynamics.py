@@ -123,7 +123,6 @@ def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,
     cur = g
     cur_mask = g.color1_words.copy()
     prev_mask: Optional[np.ndarray] = None
-    prev2_mask: Optional[np.ndarray] = None
     c1 = int((g.colors == 1).sum())
     counts.append((0, c1))
     if c1 in (0, n):
@@ -139,7 +138,7 @@ def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,
             return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 1, period=1))
         if prev_mask is not None and np.array_equal(new_mask, prev_mask):
             return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 2, period=2))
-        prev2_mask, prev_mask, cur_mask = prev_mask, cur_mask, new_mask
+        prev_mask, cur_mask = cur_mask, new_mask
     return DynamicsTrace(n, counts, CapReached(cap))
 
 

@@ -232,6 +232,23 @@ def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool,
     return _aggregate(cell, outcomes, track_majority)
 
 
+def _load_finished(path: Path) -> dict[int, dict]:
+    """Cells an earlier run wrote to `path`, keyed by cell id.
+
+    Each cell is one write ending in a newline, so a crash mid-append leaves
+    a final line without one.  That torn tail is cut off before anything is
+    appended; its cell runs again and writes the same bytes.
+    """
+    with path.open("rb+") as fh:
+        data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            fh.truncate(whole)
+    records = (json.loads(line) for line in data[:whole].splitlines()
+               if line.strip())
+    return {rec["cell_id"]: rec for rec in records}
+
+
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every cell of the grid; deterministic for a fixed master seed.
 
@@ -243,11 +260,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     results_path = Path(cfg.results_path) if cfg.results_path else None
     progress_path = results_path.with_suffix(".progress") if results_path else None
     if results_path is not None and results_path.exists():
-        with results_path.open() as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    completed[rec["cell_id"]] = rec
+        completed = _load_finished(results_path)
     track_majority = cfg.scheme is not None and not isinstance(cfg.scheme, FixedGap)
 
     out: list[CellResult] = []

@@ -1,14 +1,26 @@
 """Ground truth by exhaustive enumeration: statistics of G(n,p) for n <= 6
 are integrated over all 2^C(n,2) edge configurations with exact weights.
 
-Graphs are edge bitmasks in lexicographic pair order; adjacency rows and
-color classes are small ints, so a day of dynamics is a handful of popcounts.
-With a rational p every answer is an exact Fraction; with a float p the
-answer is a compensated float with the rounding scale reported.
+Graphs are edge bitmasks in lexicographic pair order.  The engine holds
+every configuration of an n-vertex graph at once as a (2^E, n) uint8 cube
+of neighbourhood masks (E = C(n,2)), built on first use, and runs a day of
+dynamics for all of them with a few `np.bitwise_count` calls; runs stop
+per configuration on unanimity or a period <= 2 repeat.  A configuration's
+weight depends only on its edge count, so a statistic's integer values are
+tallied into one histogram per edge count and an exact answer costs at most
+E + 1 Fraction products.  With a rational p every answer is an exact
+Fraction; with a float p the answer is a compensated float sum over the
+configurations.
+
+The scalar kernels `rows_from_mask`, `step_mask`, `rhat_mask`,
+`s_sets_mask` and `mask_trajectory` work on one configuration; they are the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,29 +57,15 @@ MAX_ORACLE_N = 6
 
 
 # ----------------------------------------------------------------------
-# bitmask engine
-
-_ROWS_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _edge_index(n: int) -> list[tuple[int, int]]:
-    return edge_list(n)
-
+# scalar reference kernels: one configuration at a time
 
 def rows_from_mask(n: int, mask: int) -> tuple[int, ...]:
     rows = [0] * n
-    for k, (a, b) in enumerate(_edge_index(n)):
+    for k, (a, b) in enumerate(edge_list(n)):
         if mask >> k & 1:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
     return tuple(rows)
-
-
-def _all_rows(n: int) -> list[tuple[int, ...]]:
-    if n not in _ROWS_CACHE:
-        n_edges = n * (n - 1) // 2
-        _ROWS_CACHE[n] = [rows_from_mask(n, m) for m in range(1 << n_edges)]
-    return _ROWS_CACHE[n]
 
 
 def step_mask(n: int, rows: Sequence[int], c1mask: int,
@@ -188,6 +186,162 @@ def s_sets_mask(n: int, rows: Sequence[int], c1mask: int, u: int,
 
 
 # ----------------------------------------------------------------------
+# the configuration cube: every edge configuration at once
+
+_UNANIMITY, _CYCLE, _CAP = 0, 1, 2
+
+
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks).astype(np.int8)
+
+
+class _Cube:
+    """Neighbourhood masks of all 2^E configurations of an n-vertex graph.
+
+    Row k of `rows` holds the n adjacency masks of edge bitmask k and
+    `edges[k]` its edge count.  Vertex sets are uint8 masks (n <= 8), one
+    per configuration, or one int shared by all of them.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.n_edges = n * (n - 1) // 2
+        configs = np.arange(1 << self.n_edges, dtype=np.uint32)
+        rows = np.zeros((len(configs), n), dtype=np.uint8)
+        for k, (a, b) in enumerate(edge_list(n)):
+            bit = (configs >> k & 1).astype(np.uint8)
+            rows[:, a] |= bit << b
+            rows[:, b] |= bit << a
+        self.rows = rows
+        self.degrees = _popcount(rows)
+        self.edges = np.bitwise_count(configs).astype(np.int64)
+        self.vertex_bits = np.uint8(1) << np.arange(n, dtype=np.uint8)
+        for a in (self.rows, self.degrees, self.edges, self.vertex_bits):
+            a.flags.writeable = False
+
+    def _pack(self, flags: np.ndarray) -> np.ndarray:
+        """(..., n) vertex flags -> (...) vertex sets."""
+        return flags.view(np.uint8) @ self.vertex_bits
+
+    def _members(self, vset) -> np.ndarray:
+        """Membership flags of each vertex in `vset`, shape (..., n)."""
+        return (np.asarray(vset, dtype=np.uint8)[..., None]
+                & self.vertex_bits) != 0
+
+    def step(self, c1, rule: UpdateRule) -> np.ndarray:
+        """One synchronous day in every configuration (twin of step_mask)."""
+        c1 = np.asarray(c1, dtype=np.uint8)
+        gap = 2 * _popcount(self.rows & c1[..., None]) - self.degrees
+        cur = self._members(c1)
+        if rule is UpdateRule.STANDARD:
+            return self._pack((gap > 0) | ((gap == 0) & cur))
+        return self._pack((gap >= 0) | ((gap == -1) & cur))
+
+    def _margins(self, c1m: int, skip: int) -> np.ndarray:
+        """Color-1 minus color-2 neighbours of every vertex, ignoring `skip`."""
+        full = (1 << self.n) - 1
+        rows = self.rows & np.uint8(full & ~skip)
+        return (_popcount(rows & np.uint8(c1m))
+                - _popcount(rows & np.uint8(full & ~c1m)))
+
+    def rhat(self, c1m: int, w: int) -> np.ndarray:
+        """Day-1 margin set of focal vertex w (twin of rhat_mask)."""
+        lw = 1 if c1m >> w & 1 else -1
+        gap = self._margins(c1m, 1 << w) + lw
+        member = np.where(self._members(c1m), gap >= 0, gap > 0)
+        return self._pack(member & ~self._members(1 << w))
+
+    def s_sets(self, c1m: int, u: int, v: int):
+        """(s1, s2, s_star, i_g) for a color-1 focal pair (twin of s_sets_mask)."""
+        if not (c1m >> u & 1 and c1m >> v & 1):
+            raise ValueError("both focal vertices must have color 1")
+        skip = (1 << u) | (1 << v)
+        # color-1 vertices sit one step lower on the same thresholds
+        gap = self._margins(c1m, skip) + self._members(c1m)
+        rest = ~self._members(skip)
+        s1 = self._pack((gap >= 0) & rest)
+        s2 = self._pack((gap <= -2) & rest)
+        ss = self._pack((gap == -1) & rest)
+        ig = _popcount(ss & self.rows[:, u] & self.rows[:, v])
+        return s1, s2, ss, ig
+
+    def run(self, c1m: int, rule: UpdateRule,
+            cap: Optional[int] = None) -> "_CubeRun":
+        """Twin of mask_trajectory for every configuration at once."""
+        if cap is None:
+            cap = (1 << self.n) + 4
+        full = (1 << self.n) - 1
+        size = len(self.rows)
+        run = _CubeRun(self, rule, [np.full(size, c1m, dtype=np.uint8)],
+                       kind=np.full(size, _CAP, dtype=np.int8),
+                       winner=np.zeros(size, dtype=np.int8),
+                       day=np.full(size, -1, dtype=np.int64),
+                       entered_day=np.full(size, -1, dtype=np.int64),
+                       period=np.zeros(size, dtype=np.int8))
+        if c1m in (0, full):
+            run.kind[:] = _UNANIMITY
+            run.winner[:] = 1 if c1m == full else 2
+            run.day[:] = 0
+            return run
+        active = np.ones(size, dtype=bool)
+        for day in range(1, cap + 1):
+            nxt = run.advance()
+            uni = active & ((nxt == 0) | (nxt == full))
+            fixed = active & ~uni & (nxt == run.states[-2])
+            two = active & ~uni & ~fixed & (day >= 2 and nxt == run.states[-3])
+            run.kind[uni] = _UNANIMITY
+            run.winner[uni] = np.where(nxt[uni] == full, 1, 2)
+            run.day[uni] = day
+            run.kind[fixed | two] = _CYCLE
+            run.entered_day[fixed] = day - 1
+            run.period[fixed] = 1
+            run.entered_day[two] = day - 2
+            run.period[two] = 2
+            active &= ~(uni | fixed | two)
+            if not active.any():
+                break
+        return run
+
+
+@dataclass
+class _CubeRun:
+    """Per-configuration trajectories; fields follow MaskTrajectory, with
+    -1 / 0 where MaskTrajectory has None."""
+
+    cube: _Cube
+    rule: UpdateRule
+    states: list[np.ndarray]          # color-1 set per configuration, day 0 first
+    kind: np.ndarray
+    winner: np.ndarray
+    day: np.ndarray
+    entered_day: np.ndarray
+    period: np.ndarray
+
+    def advance(self) -> np.ndarray:
+        """Append the next day; unanimous configurations stay where they ended."""
+        cur = self.states[-1]
+        nxt = np.where(self.kind == _UNANIMITY, cur, self.cube.step(cur, self.rule))
+        self.states.append(nxt)
+        return nxt
+
+    def count_at(self, day: int) -> np.ndarray:
+        """Color-1 count on `day` (MaskTrajectory.count_at, vectorized).
+
+        Past its end a cycle repeats, which the dynamics do by themselves.
+        """
+        if day >= len(self.states) and (self.kind == _CAP).any():
+            raise ValueError(f"trajectory capped before day {day}")
+        while len(self.states) <= day:
+            self.advance()
+        return _popcount(self.states[day])
+
+
+@functools.cache
+def _cube(n: int) -> _Cube:
+    return _Cube(n)
+
+
+# ----------------------------------------------------------------------
 # queries
 
 @dataclass(frozen=True)
@@ -242,6 +396,7 @@ class OracleQuery:
     statistic: Statistic
 
     def __post_init__(self):
+        object.__setattr__(self, "colors", tuple(self.colors))
         if self.n > MAX_ORACLE_N:
             raise ValueError(f"oracle limited to n <= {MAX_ORACLE_N}")
         if len(self.colors) != self.n:
@@ -280,82 +435,115 @@ def _focal_pair(q: OracleQuery, stat: SetStat) -> tuple[int, int]:
     return ones[0], ones[1]
 
 
-_TRAJ_CACHE: dict[tuple, list[MaskTrajectory]] = {}
+@dataclass(frozen=True)
+class _Table:
+    """A statistic over the cube: configuration k has value values[keys[k]]."""
+
+    keys: np.ndarray                      # small non-negative ints
+    values: tuple                         # int, Fraction or float per key
+    capped: Optional[np.ndarray] = None   # WinProb: the run hit its cap
 
 
-def _trajectories(n: int, colors: tuple[int, ...], rule: UpdateRule,
-                  cap: Optional[int]) -> list[MaskTrajectory]:
-    key = (n, colors, rule, cap)
-    if key not in _TRAJ_CACHE:
-        c1 = _c1mask(colors)
-        _TRAJ_CACHE[key] = [
-            mask_trajectory(n, rows, c1, rule, cap) for rows in _all_rows(n)
-        ]
-    return _TRAJ_CACHE[key]
+def _integer_table(keys: np.ndarray, capped: Optional[np.ndarray] = None) -> _Table:
+    keys = keys.astype(np.int64)
+    keys.flags.writeable = False
+    return _Table(keys, tuple(range(int(keys.max()) + 1)), capped)
 
 
-def _mask_values(q: OracleQuery) -> tuple[list, dict]:
-    """Per-configuration value of the statistic, plus evaluation details."""
+# oracle_vs_mc evaluates its query and then reads the same table.  `exact`
+# is part of the key because OracleQuery(.., Fraction(1, 2), ..) equals
+# OracleQuery(.., 0.5, ..) while their MomentZ tables differ.
+@functools.lru_cache(maxsize=1)
+def _mask_values(q: OracleQuery, exact: bool) -> _Table:
+    """The queried statistic on every edge configuration."""
     n = q.n
     stat = q.statistic
     c1m = _c1mask(q.colors)
-    rows_all = _all_rows(n)
-    details: dict = {}
+    cube = _cube(n)
 
     if isinstance(stat, WinProb):
-        cap = stat.cap if stat.cap is not None else (1 << n) + 4
-        trajs = _trajectories(n, q.colors, stat.rule, cap)
-        vals = [
-            1 if (t.kind == "unanimity" and t.winner == stat.color
-                  and t.day <= cap) else 0
-            for t in trajs
-        ]
-        details["cap_mass_indicator"] = [1 if t.kind == "cap" else 0 for t in trajs]
-        return vals, details
+        run = cube.run(c1m, stat.rule, stat.cap)
+        won = (run.kind == _UNANIMITY) & (run.winner == stat.color)
+        capped = run.kind == _CAP
+        capped.flags.writeable = False
+        return _integer_table(won, capped)
 
     if isinstance(stat, (ExpectedCount, VarCount)):
-        trajs = _trajectories(n, q.colors, stat.rule, None)
-        vals = []
-        for t in trajs:
-            c1 = t.count_at(stat.day)
-            vals.append(c1 if stat.color == 1 else n - c1)
-        return vals, details
+        c1 = cube.run(c1m, stat.rule).count_at(stat.day)
+        return _integer_table(c1 if stat.color == 1 else n - c1)
 
     if isinstance(stat, MomentZ):
         c1 = c1m.bit_count()
         c2 = n - c1
-        if q.exact:
+        if exact:
             mu1, mu2 = compute_mu_exact(c1, c2, Fraction(q.p))
         else:
             mu1, mu2 = compute_mu(c1, c2, float(q.p))
         center = n + mu1 * c1 - mu2 * c2
-        vals = []
-        for rows in rows_all:
-            c11 = step_mask(n, rows, c1m, UpdateRule.BIASED).bit_count()
-            vals.append((2 * c11 - center) ** stat.k)
-        details["mu"] = (mu1, mu2)
-        return vals, details
+        c11 = _integer_table(_popcount(cube.step(c1m, UpdateRule.BIASED)))
+        return _Table(c11.keys, tuple((2 * c - center) ** stat.k
+                                      for c in c11.values))
 
     if isinstance(stat, SetStat):
         if stat.moment not in (1, 2):
             raise ValueError("set-statistic moment must be 1 or 2")
-        vals = []
         if stat.which == "r_hat":
             w = stat.w if stat.w is not None else 0
-            for rows in rows_all:
-                vals.append(rhat_mask(n, rows, c1m, w).bit_count() ** stat.moment)
-            return vals, details
-        u, v = _focal_pair(q, stat)
-        pick = {"s1": 0, "s2": 1, "s_star": 2, "i_g": 3}.get(stat.which)
-        if pick is None:
-            raise ValueError(f"unknown set statistic: {stat.which}")
-        for rows in rows_all:
-            parts = s_sets_mask(n, rows, c1m, u, v)
-            raw = parts[pick] if pick == 3 else parts[pick].bit_count()
-            vals.append(raw**stat.moment)
-        return vals, details
+            raw = _popcount(cube.rhat(c1m, w))
+        else:
+            u, v = _focal_pair(q, stat)
+            pick = {"s1": 0, "s2": 1, "s_star": 2, "i_g": 3}.get(stat.which)
+            if pick is None:
+                raise ValueError(f"unknown set statistic: {stat.which}")
+            part = cube.s_sets(c1m, u, v)[pick]
+            raw = part if pick == 3 else _popcount(part)
+        return _integer_table(raw.astype(np.int64) ** stat.moment)
 
     raise TypeError(f"unsupported statistic: {stat!r}")
+
+
+def _float_weights(cube: _Cube, p: float) -> np.ndarray:
+    e = cube.edges.astype(np.float64)
+    return p**e * (1.0 - p) ** (cube.n_edges - e)
+
+
+def _integrate(q: OracleQuery, table: _Table) -> OracleResult:
+    """Expectation of the table (variance for VarCount) under G(n, p)."""
+    cube = _cube(q.n)
+    var = isinstance(q.statistic, VarCount)
+
+    if q.exact:
+        p = Fraction(q.p)
+        n_edges = cube.n_edges
+        weights = [p**e * (1 - p) ** (n_edges - e) for e in range(n_edges + 1)]
+
+        def mean(keys: np.ndarray, values: Sequence) -> Fraction:
+            # configurations of one edge count share a weight
+            hist = np.bincount(cube.edges * len(values) + keys,
+                               minlength=(n_edges + 1) * len(values))
+            hist = hist.reshape(n_edges + 1, len(values)).tolist()
+            return sum(w * sum(c * v for c, v in zip(row, values) if c)
+                       for w, row in zip(weights, hist))
+
+        total = mean(table.keys, table.values)
+        details = {"exact": True}
+        if table.capped is not None:
+            details["cap_mass"] = mean(table.capped.astype(np.int64), [0, 1])
+        if var:
+            sq = mean(table.keys, [v * v for v in table.values])
+            return OracleResult(sq - total * total, details)
+        return OracleResult(total, details)
+
+    w = _float_weights(cube, float(q.p))
+    v_arr = np.asarray([float(x) for x in table.values])[table.keys]
+    total = math.fsum(w * v_arr)
+    details = {"exact": False, "accumulation_terms": len(v_arr)}
+    if table.capped is not None:
+        details["cap_mass"] = math.fsum(w * table.capped.astype(float))
+    if var:
+        sq = math.fsum(w * v_arr * v_arr)
+        return OracleResult(sq - total * total, details)
+    return OracleResult(total, details)
 
 
 def oracle_eval(q: OracleQuery) -> OracleResult:
@@ -372,47 +560,7 @@ def oracle_eval(q: OracleQuery) -> OracleResult:
             "scaled": table.coefficient_scaled(list(q.statistic.s)),
             "exact": q.exact,
         })
-
-    n_edges = q.n * (q.n - 1) // 2
-    vals, details = _mask_values(q)
-    e_counts = np.bitwise_count(np.arange(1 << n_edges, dtype=np.uint64))
-
-    if q.exact:
-        p = Fraction(q.p)
-        pow_hi = [p**i for i in range(n_edges + 1)]
-        pow_lo = [(1 - p) ** i for i in range(n_edges + 1)]
-        total = Fraction(0)
-        sq = Fraction(0)
-        cap_mass = Fraction(0)
-        cap_ind = details.get("cap_mass_indicator")
-        for mask, val in enumerate(vals):
-            e = int(e_counts[mask])
-            w = pow_hi[e] * pow_lo[n_edges - e]
-            total += w * val
-            if isinstance(q.statistic, VarCount):
-                sq += w * val * val
-            if cap_ind is not None and cap_ind[mask]:
-                cap_mass += w
-        details = {"exact": True}
-        if cap_ind is not None:
-            details["cap_mass"] = cap_mass
-        if isinstance(q.statistic, VarCount):
-            return OracleResult(sq - total * total, details)
-        return OracleResult(total, details)
-
-    p = float(q.p)
-    w = p ** e_counts.astype(np.float64) * (1.0 - p) ** (
-        n_edges - e_counts).astype(np.float64)
-    v_arr = np.asarray([float(x) for x in vals])
-    total = math.fsum(w * v_arr)
-    details_out = {"exact": False, "accumulation_terms": len(vals)}
-    cap_ind = details.get("cap_mass_indicator")
-    if cap_ind is not None:
-        details_out["cap_mass"] = math.fsum(w * np.asarray(cap_ind, dtype=float))
-    if isinstance(q.statistic, VarCount):
-        sq = math.fsum(w * v_arr * v_arr)
-        return OracleResult(sq - total * total, details_out)
-    return OracleResult(total, details_out)
+    return _integrate(q, _mask_values(q, q.exact))
 
 
 # ----------------------------------------------------------------------
@@ -439,15 +587,14 @@ def oracle_vs_mc(q: OracleQuery, trials: int,
                  master_seed: int = 0) -> OracleMcAgreement:
     """Monte Carlo estimate over sampled configurations vs the exact value.
 
-    The sampler draws fresh edge configurations; the per-graph statistic is
-    the same bitmask kernel the enumeration uses (that kernel is validated
-    against the array engine separately).
+    The sampler draws fresh edge configurations and looks each one up in
+    the per-configuration table the exact value was integrated from.
     """
-    oracle_value = float(oracle_eval(q).value)
     if isinstance(q.statistic, FourierCoeff):
         raise ValueError("Monte Carlo comparison is for graph statistics")
-    vals, _ = _mask_values(q)
-    table = np.asarray([float(x) for x in vals])
+    oracle_value = float(oracle_eval(q).value)
+    values = _mask_values(q, q.exact)
+    table = np.asarray([float(x) for x in values.values])[values.keys]
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
     n_edges = q.n * (q.n - 1) // 2
     masks = _sample_masks(rng, n_edges, float(q.p), trials)
@@ -499,66 +646,75 @@ def exhaustive_identity_scan(n: int, p: Union[Fraction, int] = Fraction(1, 3),
       color-1 pairs;
     * Z_v + mu_v is the +-1 keep indicator of biased day 1, and the Z's sum
       (signed by the initial color) to 2|C_{1,1}| - 2 E|C_{1,1}| exactly.
+
+    Colorings are visited one at a time, each against the whole cube.
     """
     if n > MAX_ORACLE_N:
         raise ValueError(f"scan limited to n <= {MAX_ORACLE_N}")
     p = Fraction(p)
     full = (1 << n) - 1
-    rows_all = _all_rows(n)
+    cube = _cube(n)
+    rows = cube.rows
+    size = len(rows)
     scan = IdentityScan(n, 0, 0, 0, 0, 0)
-    mu_cache: dict[int, tuple[Fraction, Fraction]] = {}
 
-    def note(msg: str) -> None:
-        if len(scan.violations) < max_violations:
-            scan.violations.append(msg)
+    def note(ok: np.ndarray, label: str, c1m: int, where: str = "") -> None:
+        room = max_violations - len(scan.violations)
+        for mask in np.flatnonzero(~ok)[:max(room, 0)]:
+            scan.violations.append(
+                f"{label}: n={n} colors={c1m:0{n}b} mask={mask}{where}")
+
+    def pc(masks: np.ndarray) -> np.ndarray:
+        return _popcount(masks).astype(np.int64)
 
     for c1m in range(1 << n):
         c1 = c1m.bit_count()
         c2 = n - c1
-        mus = None
-        if 0 < c1 < n:
-            if c1 not in mu_cache:
-                mu_cache[c1] = compute_mu_exact(c1, c2, p)
-            mus = mu_cache[c1]
-            center = n + mus[0] * c1 - mus[1] * c2
+        scan.combos += size
+        m1 = cube.step(c1m, UpdateRule.STANDARD)
+        b1 = cube.step(c1m, UpdateRule.BIASED)
+        for w in range(n):
+            scan.rhat_checks += size
+            nbhd = rows[:, w]
+            note(cube.rhat(c1m, w) & nbhd == m1 & nbhd, "rhat", c1m, f" w={w}")
         ones = [i for i in range(n) if c1m >> i & 1]
-        for mask, rows in enumerate(rows_all):
-            scan.combos += 1
-            m1 = step_mask(n, rows, c1m, UpdateRule.STANDARD)
-            b1 = step_mask(n, rows, c1m, UpdateRule.BIASED)
-            for w in range(n):
-                scan.rhat_checks += 1
-                rh = rhat_mask(n, rows, c1m, w)
-                if rh & rows[w] != m1 & rows[w]:
-                    note(f"rhat: n={n} colors={c1m:0{n}b} mask={mask} w={w}")
-            for i, u in enumerate(ones):
-                for v in ones[i + 1:]:
-                    s1, s2, ss, ig = s_sets_mask(n, rows, c1m, u, v)
-                    scan.partition_checks += 1
-                    rest = full & ~((1 << u) | (1 << v))
-                    if (s1 | s2 | ss) != rest or s1 & s2 or s1 & ss or s2 & ss:
-                        note(f"partition: colors={c1m:0{n}b} mask={mask} uv=({u},{v})")
-                    if not rows[u] >> v & 1:
-                        scan.day2_checks += 1
-                        du = rows[u]
-                        lhs = 2 * (du & m1).bit_count() - du.bit_count()
-                        rhs = ((s1 & du).bit_count() - (s2 & du).bit_count()
-                               - (ss & du & ~rows[v]).bit_count() + ig)
-                        if lhs != rhs:
-                            note(f"day2: colors={c1m:0{n}b} mask={mask} uv=({u},{v})")
-            if mus is not None:
-                z_total = Fraction(0)
-                for v in range(n):
-                    scan.centering_checks += 1
-                    was1 = c1m >> v & 1
-                    kept = (b1 >> v & 1) == was1
-                    mu_v = mus[0] if was1 else mus[1]
-                    z = (1 if kept else -1) - mu_v
+        for u, v in itertools.combinations(ones, 2):
+            s1, s2, ss, ig = cube.s_sets(c1m, u, v)
+            scan.partition_checks += size
+            rest = full & ~((1 << u) | (1 << v))
+            ok = (((s1 | s2 | ss) == rest) & (s1 & s2 == 0) & (s1 & ss == 0)
+                  & (s2 & ss == 0))
+            note(ok, "partition", c1m, f" uv=({u},{v})")
+            du = rows[:, u]
+            apart = du >> v & 1 == 0
+            scan.day2_checks += int(apart.sum())
+            lhs = 2 * pc(du & m1) - pc(du)
+            rhs = (pc(s1 & du) - pc(s2 & du) - pc(ss & du & ~rows[:, v])
+                   + ig.astype(np.int64))
+            note(~apart | (lhs == rhs), "day2", c1m, f" uv=({u},{v})")
+        if 0 < c1 < n:
+            mu1, mu2 = compute_mu_exact(c1, c2, p)
+            center = n + mu1 * c1 - mu2 * c2
+            signed_keeps = np.zeros(size, dtype=np.int64)
+            for v in range(n):
+                scan.centering_checks += size
+                was1 = c1m >> v & 1
+                kept = (b1 >> v & 1) == was1
+                mu_v = mu1 if was1 else mu2
+                # Z_v = +-1 - mu_v takes one exact value per keep outcome
+                for k in np.unique(kept):
+                    z = (1 if k else -1) - mu_v
                     if z + mu_v not in (-1, 1):
-                        note(f"centering: colors={c1m:0{n}b} mask={mask} v={v}")
-                    z_total += z if was1 else -z
-                if z_total != 2 * b1.bit_count() - center:
-                    note(f"aggregate-z: colors={c1m:0{n}b} mask={mask}")
+                        note(kept != k, "centering", c1m, f" v={v}")
+                signed_keeps += np.where(kept, 1, -1) * (1 if was1 else -1)
+            # sum_v L(v) Z_v = signed_keeps - (mu1 c1 - mu2 c2), checked
+            # exactly once per distinct (signed_keeps, |C_{1,1}|)
+            key = (signed_keeps + n) * (n + 1) + pc(b1)
+            for k in np.unique(key):
+                keeps, c11 = divmod(int(k), n + 1)
+                z_total = keeps - n - (mu1 * c1 - mu2 * c2)
+                if z_total != 2 * c11 - center:
+                    note(key != k, "aggregate-z", c1m)
     return scan
 
 
@@ -575,37 +731,31 @@ def enumerate_trial_quantities(n: int, c1: int, p: float,
     """
     if c1 < 2 or n - c1 < 1:
         raise ValueError("need at least two color-1 and one color-2 vertex")
-    colors = tuple([1] * c1 + [2] * (n - c1))
-    c1m = _c1mask(colors)
+    cube = _cube(n)
+    c1m = (1 << c1) - 1
     v1, v2, u, v = 0, c1, 0, 1
-    n_edges = n * (n - 1) // 2
-    n_masks = 1 << n_edges
-    names = ("c11_std", "c11_biased", "rhat1", "rhat2", "c12", "c23",
-             "win1", "win_day", "s1", "s2", "ss", "ig",
-             "v1_in_c12", "v2_in_c12")
-    cols = {name: np.empty(n_masks) for name in names}
-    rows_all = _all_rows(n)
-    for mask, rows in enumerate(rows_all):
-        d1 = step_mask(n, rows, c1m, UpdateRule.STANDARD)
-        d2 = step_mask(n, rows, d1, UpdateRule.STANDARD)
-        d3 = step_mask(n, rows, d2, UpdateRule.STANDARD)
-        cols["c11_std"][mask] = d1.bit_count()
-        cols["c11_biased"][mask] = step_mask(n, rows, c1m, UpdateRule.BIASED).bit_count()
-        cols["rhat1"][mask] = rhat_mask(n, rows, c1m, v1).bit_count()
-        cols["rhat2"][mask] = rhat_mask(n, rows, c1m, v2).bit_count()
-        cols["c12"][mask] = d2.bit_count()
-        cols["c23"][mask] = n - d3.bit_count()
-        traj = mask_trajectory(n, rows, c1m, UpdateRule.STANDARD, None)
-        win1 = traj.kind == "unanimity" and traj.winner == 1 and traj.day <= cap
-        cols["win1"][mask] = float(win1)
-        cols["win_day"][mask] = traj.day if win1 else np.nan
-        s1, s2, ss, ig = s_sets_mask(n, rows, c1m, u, v)
-        cols["s1"][mask] = s1.bit_count()
-        cols["s2"][mask] = s2.bit_count()
-        cols["ss"][mask] = ss.bit_count()
-        cols["ig"][mask] = ig
-        cols["v1_in_c12"][mask] = float(d2 >> v1 & 1)
-        cols["v2_in_c12"][mask] = float(d2 >> v2 & 1)
-    e_counts = np.bitwise_count(np.arange(n_masks, dtype=np.uint64)).astype(np.float64)
-    weights = p**e_counts * (1.0 - p) ** (n_edges - e_counts)
-    return cols, weights
+    std = UpdateRule.STANDARD
+    d1 = cube.step(c1m, std)
+    d2 = cube.step(d1, std)
+    d3 = cube.step(d2, std)
+    run = cube.run(c1m, std)
+    win1 = (run.kind == _UNANIMITY) & (run.winner == 1) & (run.day <= cap)
+    s1, s2, ss, ig = cube.s_sets(c1m, u, v)
+    cols = {
+        "c11_std": _popcount(d1),
+        "c11_biased": _popcount(cube.step(c1m, UpdateRule.BIASED)),
+        "rhat1": _popcount(cube.rhat(c1m, v1)),
+        "rhat2": _popcount(cube.rhat(c1m, v2)),
+        "c12": _popcount(d2),
+        "c23": n - _popcount(d3),
+        "win1": win1,
+        "win_day": np.where(win1, run.day, np.nan),
+        "s1": _popcount(s1),
+        "s2": _popcount(s2),
+        "ss": _popcount(ss),
+        "ig": ig,
+        "v1_in_c12": d2 >> v1 & 1,
+        "v2_in_c12": d2 >> v2 & 1,
+    }
+    cols = {name: col.astype(np.float64) for name, col in cols.items()}
+    return cols, _float_weights(cube, p)

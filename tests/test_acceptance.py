@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s to see them).
 
-1. Exhaustive structural identities on every graph and coloring, n <= 5.
+1. Exhaustive structural identities on every graph and coloring, n <= 6
+   (the n = 6 scan within 10 s).
 2. Exact Fourier identities of the centered indicators, n <= 5.
 3. Inequality grids: >= 200 hypothesis-satisfying points per check, all
    passing with slack >= -1e-9.
@@ -78,6 +79,24 @@ def test_criterion_1_exact_identities_exhaustive():
         not violations and mismatches == 0 and elapsed < 300.0,
         f"combos={combos} violations={len(violations)} engine_mismatches={mismatches} "
         f"time={elapsed:.1f}s (limit 300s)")
+
+    # n = 6: every check of every coloring and configuration, within 10 s
+    n, configs = 6, 1 << 15
+    t0 = time.perf_counter()
+    scan = exhaustive_identity_scan(n, Fraction(1, 3))
+    elapsed = time.perf_counter() - t0
+    pairs = n * (n - 1) // 2 * 2 ** (n - 2) * configs  # color-1 pairs x configs
+    want = {"combos": 2**n * configs, "rhat": n * 2**n * configs,
+            "partition": pairs, "day2": pairs // 2,  # half the pairs are apart
+            "centering": (2**n - 2) * n * configs}   # non-unanimous colorings
+    got = {"combos": scan.combos, "rhat": scan.rhat_checks,
+           "partition": scan.partition_checks, "day2": scan.day2_checks,
+           "centering": scan.centering_checks}
+    _conclude(
+        "1 exhaustive identities (n=6)",
+        scan.clean and got == want and elapsed <= 10.0,
+        f"checks={got} expected={want} violations={scan.violations[:3]} "
+        f"time={elapsed:.1f}s (limit 10s)")
 
 
 def test_criterion_2_fourier_suite():

@@ -73,6 +73,21 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
         [c.to_record() for c in full.cells]
 
 
+def test_sweep_resume_after_torn_last_line(tmp_path):
+    path = tmp_path / "res.jsonl"
+    cfg = ExperimentConfig(n_values=(30,), p_values=(0.3,),
+                           delta_values=(1.0, 3.0, 5.0), trials=40,
+                           master_seed=3, results_path=str(path))
+    run_sweep(cfg)
+    intact = path.read_bytes()
+    first_end = intact.index(b"\n") + 1
+    # a crash mid-write: cut inside the first line, and inside the second
+    for cut in (first_end // 2, first_end + 5, len(intact) - 1):
+        path.write_bytes(intact[:cut])
+        run_sweep(cfg)
+        assert path.read_bytes() == intact, cut
+
+
 def test_sweep_checkpoints(tmp_path):
     path = tmp_path / "res.jsonl"
     cfg = ExperimentConfig(n_values=(20,), p_values=(0.3,),

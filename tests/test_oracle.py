@@ -1,15 +1,21 @@
+import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from majlab.dynamics import UpdateRule
 from majlab.fourier import fourier_coefficients
 from majlab.oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
-                           SetStat, VarCount, WinProb, exhaustive_identity_scan,
-                           oracle_eval, oracle_vs_mc)
+                           SetStat, VarCount, WinProb, _cube,
+                           enumerate_trial_quantities, exhaustive_identity_scan,
+                           mask_trajectory, oracle_eval, oracle_vs_mc,
+                           rhat_mask, rows_from_mask, s_sets_mask, step_mask)
+from majlab.stats import compute_mu, compute_mu_exact
 
 from conftest import enumerate_small_graphs, naive_step
 
@@ -73,7 +79,6 @@ def test_initial_strict_majority_wins_at_p_one():
     # n = 6: all colorings through the trajectory engine on the complete
     # graph (the only configuration with weight at p = 1), plus oracle spot
     # checks on a sample
-    from majlab.oracle import mask_trajectory, rows_from_mask
     full_rows = rows_from_mask(6, (1 << 15) - 1)
     for colors in itertools.product((1, 2), repeat=6):
         c1 = colors.count(1)
@@ -191,6 +196,11 @@ def test_query_validation():
         oracle_eval(OracleQuery(3, 0.5, (1, 1, 2), SetStat("bogus")))
     with pytest.raises(ValueError):
         oracle_eval(OracleQuery(3, 0.5, (2, 2, 2), SetStat("s1")))
+    # colors given as a list are stored as a tuple
+    listed = OracleQuery(3, Fraction(1, 2), [1, 1, 2], MomentZ(k=2))
+    assert listed.colors == (1, 1, 2)
+    assert oracle_eval(listed).value == \
+        oracle_eval(OracleQuery(3, Fraction(1, 2), (1, 1, 2), MomentZ(k=2))).value
 
 
 def test_oracle_vs_mc_smoke():
@@ -224,3 +234,209 @@ def test_golden_values():
                         stats[rec["stat"]](rec))
         got = oracle_eval(q).value
         assert got == Fraction(rec["value"]), rec
+
+
+# ----------------------------------------------------------------------
+# the configuration cube against the scalar reference kernels
+
+def _colorings(n):
+    return list(itertools.product((1, 2), repeat=n))
+
+
+def _c1m(colors):
+    return sum(1 << i for i, c in enumerate(colors) if c == 1)
+
+
+def test_cube_kernels_match_scalar_kernels():
+    for n in range(1, 6):
+        cube = _cube(n)
+        all_rows = _all_rows(n)
+        assert [tuple(r) for r in cube.rows.tolist()] == all_rows
+        for colors in _colorings(n):
+            c1m = _c1m(colors)
+            for rule in UpdateRule:
+                assert cube.step(c1m, rule).tolist() == \
+                    [step_mask(n, rows, c1m, rule) for rows in all_rows]
+                for cap in (None, 1, 2):
+                    run = cube.run(c1m, rule, cap)
+                    counts = np.stack([run.count_at(d)
+                                       for d in range(len(run.states))], axis=1)
+                    for k, rows in enumerate(all_rows):
+                        t = mask_trajectory(n, rows, c1m, rule, cap)
+                        got = (("unanimity", "cycle", "cap")[run.kind[k]],
+                               run.winner[k] or None,
+                               None if run.day[k] < 0 else run.day[k],
+                               None if run.entered_day[k] < 0 else run.entered_day[k],
+                               run.period[k] or None)
+                        assert got == (t.kind, t.winner, t.day, t.entered_day,
+                                       t.period), (n, colors, rule, cap, k)
+                        assert counts[k, :len(t.counts)].tolist() == list(t.counts)
+            for w in range(n):
+                assert cube.rhat(c1m, w).tolist() == \
+                    [rhat_mask(n, rows, c1m, w) for rows in all_rows]
+            ones = [i for i, c in enumerate(colors) if c == 1]
+            for u, v in itertools.combinations(ones, 2):
+                got = list(zip(*(a.tolist() for a in cube.s_sets(c1m, u, v))))
+                assert got == [s_sets_mask(n, rows, c1m, u, v)
+                               for rows in all_rows]
+
+
+_STATS = (
+    [WinProb(color, rule, cap) for rule in UpdateRule for color in (1, 2)
+     for cap in (None, 1, 2)]
+    + [kind(day, color, rule) for kind in (ExpectedCount, VarCount)
+       for rule in UpdateRule for color in (1, 2) for day in range(4)]
+    + [MomentZ(k) for k in (1, 2, 3)]
+    + [SetStat(which, moment) for which in ("s1", "s2", "s_star", "i_g", "r_hat")
+       for moment in (1, 2)]
+    + [SetStat("r_hat", 1, w=w) for w in (1, 2, 3, 4)]
+)
+
+
+def _all_rows(n):
+    return [rows_from_mask(n, m) for m in range(1 << (n * (n - 1) // 2))]
+
+
+def _scalar_values(n, colors, stat, p, all_rows, memo):
+    """Per-configuration values of the statistic through the scalar kernels.
+
+    `memo` keeps the kernel results of one coloring across statistics.
+    """
+    c1m = _c1m(colors)
+
+    def kernel(key, fn):
+        if key not in memo:
+            memo[key] = [fn(rows) for rows in all_rows]
+        return memo[key]
+
+    def trajs(rule, cap=None):
+        return kernel(("traj", rule, cap),
+                      lambda rows: mask_trajectory(n, rows, c1m, rule, cap))
+
+    if isinstance(stat, WinProb):
+        return [int(t.kind == "unanimity" and t.winner == stat.color)
+                for t in trajs(stat.rule, stat.cap)]
+    if isinstance(stat, (ExpectedCount, VarCount)):
+        key = ("count", stat.rule, stat.day)
+        if key not in memo:
+            memo[key] = [t.count_at(stat.day) for t in trajs(stat.rule)]
+        counts = memo[key]
+        return counts if stat.color == 1 else [n - c for c in counts]
+    if isinstance(stat, MomentZ):
+        c1 = colors.count(1)
+        if isinstance(p, Fraction):
+            mu1, mu2 = compute_mu_exact(c1, n - c1, p)
+        else:
+            mu1, mu2 = compute_mu(c1, n - c1, p)
+        center = n + mu1 * c1 - mu2 * (n - c1)
+        c11 = kernel("c11", lambda rows: step_mask(
+            n, rows, c1m, UpdateRule.BIASED).bit_count())
+        return [(2 * c - center) ** stat.k for c in c11]
+    if stat.which == "r_hat":
+        w = stat.w or 0
+        sizes = kernel(("rhat", w),
+                       lambda rows: rhat_mask(n, rows, c1m, w).bit_count())
+        return [s**stat.moment for s in sizes]
+    ones = [i for i, c in enumerate(colors) if c == 1]
+    if len(ones) < 2:
+        raise ValueError("set statistics need two color-1 vertices")
+    pick = ("s1", "s2", "s_star", "i_g").index(stat.which)
+    sets = kernel("sets", lambda rows: s_sets_mask(n, rows, c1m, ones[0], ones[1]))
+    return [(parts[pick] if pick == 3 else parts[pick].bit_count())
+            ** stat.moment for parts in sets]
+
+
+@functools.cache
+def _scalar_weights(n, p):
+    """Configuration weights; for rational p, integers over q^E and q^E."""
+    n_edges = n * (n - 1) // 2
+    sizes = [m.bit_count() for m in range(1 << n_edges)]
+    if isinstance(p, Fraction):
+        a, q = p.numerator, p.denominator
+        return [a**e * (q - a) ** (n_edges - e) for e in sizes], q**n_edges
+    return [p**e * (1 - p) ** (n_edges - e) for e in sizes], None
+
+
+def _scalar_expectation(n, values, p, var):
+    """Sum over configurations of weight * value (variance for VarCount)."""
+    weights, scale = _scalar_weights(n, p)
+
+    def mean(vals):
+        if scale is None:
+            return math.fsum(w * v for w, v in zip(weights, vals))
+        return Fraction(sum(w * v for w, v in zip(weights, vals))) / scale
+
+    total = mean(values)
+    if var:
+        return mean([v * v for v in values]) - total * total
+    return total
+
+
+def test_cube_statistics_match_scalar_reference():
+    for n in range(1, 6):
+        all_rows = _all_rows(n)
+        for colors in _colorings(n):
+            memo = {}
+            for stat in _STATS:
+                if isinstance(stat, SetStat) and (stat.w or 0) >= n:
+                    continue
+                for p in (Fraction(1, 3), 0.3):
+                    q = OracleQuery(n, p, colors, stat)
+                    try:
+                        vals = _scalar_values(n, colors, stat, p, all_rows,
+                                              memo)
+                    except (ValueError, ZeroDivisionError) as exc:
+                        with pytest.raises(type(exc)):
+                            oracle_eval(q)
+                        continue
+                    want = _scalar_expectation(n, vals, p,
+                                               isinstance(stat, VarCount))
+                    got = oracle_eval(q).value
+                    if isinstance(p, Fraction):
+                        assert got == want, (n, colors, stat)
+                    else:
+                        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), \
+                            (n, colors, stat, got, want)
+
+
+def _scalar_trial_quantities(n, c1, p, cap):
+    """The per-configuration loop the cube replaced, kernel by kernel."""
+    c1m = (1 << c1) - 1
+    v1, v2, u, v = 0, c1, 0, 1
+    n_edges = n * (n - 1) // 2
+    std = UpdateRule.STANDARD
+    rows_list = []
+    for mask in range(1 << n_edges):
+        rows = rows_from_mask(n, mask)
+        d1 = step_mask(n, rows, c1m, std)
+        d2 = step_mask(n, rows, d1, std)
+        d3 = step_mask(n, rows, d2, std)
+        traj = mask_trajectory(n, rows, c1m, std, None)
+        win1 = traj.kind == "unanimity" and traj.winner == 1 and traj.day <= cap
+        s1, s2, ss, ig = s_sets_mask(n, rows, c1m, u, v)
+        rows_list.append((
+            d1.bit_count(),
+            step_mask(n, rows, c1m, UpdateRule.BIASED).bit_count(),
+            rhat_mask(n, rows, c1m, v1).bit_count(),
+            rhat_mask(n, rows, c1m, v2).bit_count(),
+            d2.bit_count(), n - d3.bit_count(), float(win1),
+            traj.day if win1 else np.nan, s1.bit_count(), s2.bit_count(),
+            ss.bit_count(), ig, d2 >> v1 & 1, d2 >> v2 & 1))
+    names = ("c11_std", "c11_biased", "rhat1", "rhat2", "c12", "c23",
+             "win1", "win_day", "s1", "s2", "ss", "ig",
+             "v1_in_c12", "v2_in_c12")
+    cols = dict(zip(names, np.array(rows_list, dtype=np.float64).T))
+    sizes = np.array([bin(m).count("1") for m in range(1 << n_edges)],
+                     dtype=np.float64)
+    return cols, p**sizes * (1.0 - p) ** (n_edges - sizes)
+
+
+def test_enumerate_trial_quantities_matches_scalar_loop():
+    for n, c1, p, cap in [(4, 2, 0.3, 5), (4, 3, 0.5, 2), (5, 2, 0.25, 7),
+                          (5, 3, 0.4, 1), (5, 4, 0.7, 3)]:
+        cols, weights = enumerate_trial_quantities(n, c1, p, cap)
+        want_cols, want_weights = _scalar_trial_quantities(n, c1, p, cap)
+        assert list(cols) == list(want_cols)
+        for name, col in cols.items():
+            np.testing.assert_array_equal(col, want_cols[name], err_msg=name)
+        np.testing.assert_array_equal(weights, want_weights)

@@ -5,11 +5,17 @@ Every trial draws its RNG stream from (master_seed, cell_index, trial_index),
 and per-cell reductions run in trial order, so results are byte-identical no
 matter how many workers execute the trials.  Cap hits are tracked separately
 from losses and cycles.
+
+A sweep with a results file first writes `<results>.manifest.json` (schema,
+version, seed contract and a fingerprint of the output-deciding config), and
+a resume refuses a non-empty results file whose manifest is missing or
+differs, so cells of two different sweeps never mix.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -17,12 +23,16 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from . import __version__
 from .dynamics import TwoCycle, Unanimity, UpdateRule, default_cap, run
 from .graphs import (ColoringScheme, FixedGap, GraphParams, RandomBiased,
                      RandomHalf, sample_gnp, split_seed)
 
 __all__ = [
     "ExperimentConfig",
+    "ForeignResultsError",
+    "SEED_CONTRACT",
+    "config_fingerprint",
     "CellResult",
     "SweepResult",
     "run_sweep",
@@ -34,6 +44,10 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054
+
+_MANIFEST_SCHEMA = 1
+SEED_CONTRACT = ("trial t of cell c under master seed s draws its stream from "
+                 "split_seed(s, c, t); cells reduce in trial order")
 
 
 def wilson_interval(wins: int, total: int, z: float = _Z95) -> tuple[float, float]:
@@ -60,7 +74,7 @@ class ExperimentConfig:
     workers: int = 1
     results_path: Optional[str] = None
     summary_path: Optional[str] = None
-    checkpoint_interval: int = 10_000
+    checkpoint_interval: int = 10_000  # most trials in one work chunk
 
     def __post_init__(self):
         if self.trials < 1:
@@ -206,7 +220,6 @@ def _aggregate(cell: Cell, outcomes: list[tuple[int, int, int, int, int]],
 
 
 def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool,
-                  progress_path: Optional[Path],
                   track_majority: bool) -> CellResult:
     cap = cfg.cap if cfg.cap is not None else default_cap(cell.n, cell.p)
     chunk = max(1, min(cfg.checkpoint_interval,
@@ -216,20 +229,59 @@ def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool,
          cell.index, lo, min(lo + chunk, cfg.trials))
         for lo in range(0, cfg.trials, chunk)
     ]
-    outcomes: list[tuple[int, int, int, int, int]] = []
-    done = 0
-    next_checkpoint = cfg.checkpoint_interval
-    results_iter = map(_run_chunk, chunks) if pool is None else pool.map(_run_chunk, chunks)
-    for part in results_iter:
-        outcomes.extend(part)
-        done += len(part)
-        if progress_path is not None and done >= next_checkpoint:
-            with progress_path.open("a") as fh:
-                fh.write(json.dumps(
-                    {"cell_id": cell.index, "trials_done": done},
-                    sort_keys=True) + "\n")
-            next_checkpoint += cfg.checkpoint_interval
+    parts = map(_run_chunk, chunks) if pool is None else pool.map(_run_chunk, chunks)
+    outcomes = [o for part in parts for o in part]
     return _aggregate(cell, outcomes, track_majority)
+
+
+class ForeignResultsError(ValueError):
+    """A results file that another sweep configuration (or no manifest) wrote."""
+
+
+def config_fingerprint(cfg: ExperimentConfig) -> str:
+    """sha256 of the config fields that decide the bytes of results.jsonl.
+
+    Workers, paths and checkpoint_interval are left out: they never change
+    a result.
+    """
+    fields = {
+        "n_values": list(cfg.n_values), "p_values": list(cfg.p_values),
+        "delta_values": (None if cfg.delta_values is None
+                         else list(cfg.delta_values)),
+        "scheme": None if cfg.scheme is None else repr(cfg.scheme),
+        "rule": cfg.rule.value, "trials": cfg.trials,
+        "master_seed": cfg.master_seed, "cap": cfg.cap,
+    }
+    blob = json.dumps(fields, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _manifest(cfg: ExperimentConfig) -> str:
+    return json.dumps({
+        "schema": _MANIFEST_SCHEMA, "version": __version__,
+        "seed_contract": SEED_CONTRACT,
+        "fingerprint": config_fingerprint(cfg),
+    }, sort_keys=True) + "\n"
+
+
+def _claim_results(results_path: Path, cfg: ExperimentConfig) -> None:
+    """Start a results file, or check that a non-empty one is this sweep's.
+
+    Raises ForeignResultsError, before touching the file, when its manifest
+    is missing or differs from this config's.
+    """
+    manifest_path = Path(f"{results_path}.manifest.json")
+    expected = _manifest(cfg)
+    if results_path.exists() and results_path.stat().st_size > 0:
+        found = manifest_path.read_text() if manifest_path.exists() else None
+        if found != expected:
+            state = "is missing" if found is None else "differs"
+            raise ForeignResultsError(
+                f"{results_path} was not written by this sweep configuration "
+                f"(its manifest {manifest_path} {state}); give a new results "
+                "path")
+    else:
+        manifest_path.write_text(expected)
 
 
 def _load_finished(path: Path) -> dict[int, dict]:
@@ -253,14 +305,16 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Run every cell of the grid; deterministic for a fixed master seed.
 
     With a results path, one JSON line is appended per finished cell and
-    cells already present are skipped, so an interrupted sweep resumes.
+    cells already present are skipped, so an interrupted sweep resumes.  A
+    results file written under another config raises ForeignResultsError.
     """
     cells = cfg.cells()
     completed: dict[int, dict] = {}
     results_path = Path(cfg.results_path) if cfg.results_path else None
-    progress_path = results_path.with_suffix(".progress") if results_path else None
-    if results_path is not None and results_path.exists():
-        completed = _load_finished(results_path)
+    if results_path is not None:
+        _claim_results(results_path, cfg)
+        if results_path.exists():
+            completed = _load_finished(results_path)
     track_majority = cfg.scheme is not None and not isinstance(cfg.scheme, FixedGap)
 
     out: list[CellResult] = []
@@ -274,7 +328,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 out.append(CellResult(**{
                     k: rec.get(k) for k in CellResult.__dataclass_fields__}))
                 continue
-            res = _execute_cell(cell, cfg, pool, progress_path, track_majority)
+            res = _execute_cell(cell, cfg, pool, track_majority)
             out.append(res)
             if results_path is not None:
                 with results_path.open("a") as fh:

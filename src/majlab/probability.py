@@ -1,9 +1,11 @@
 """Exact finite probability: binomial pmfs, differences of binomials, normal CDF.
 
-The float paths are built on scipy's saddle-point binomial pmf/cdf, which
-keeps relative error near machine precision even for n ~ 1e6.  Full
-difference tables use direct convolution; single values for large n use a
-window of +-12 standard deviations, whose neglected mass is below 1e-25.
+The float paths are built on the Boost binomial pmf/cdf ufuncs in
+scipy.special, the ones scipy.stats.binom wraps, called directly so that
+importing this module does not load scipy.stats.  They keep relative error
+near machine precision even for n ~ 1e6.  Full difference tables use direct
+convolution; single values for large n use a window of +-12 standard
+deviations, whose neglected mass is below 1e-25.
 Exact-rational twins of the small cases back the float paths in tests and
 in oracle mode.
 """
@@ -16,7 +18,7 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import stats as _st
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 __all__ = [
     "BERRY_ESSEEN_C",
@@ -41,20 +43,36 @@ _FULL_TABLE_LIMIT = 20_000  # max n1 + n2 for direct convolution tables
 _WINDOW_SIGMAS = 12.0
 
 
+def _pmf(k, n: int, p: float):
+    """P(Bin(n,p) = k) for k in [0, n], bit for bit scipy.stats.binom.pmf.
+
+    Like scipy, clip to [0, 1]: at k = 0 and p ~ 1e-300 Boost returns
+    1 + 3e-14.  NaN for p outside [0, 1].
+    """
+    return np.clip(_binom_pmf(k, n, p), 0.0, 1.0)
+
+
+def _cdf(k, n: int, p: float):
+    """P(Bin(n,p) <= floor(k)), bit for bit scipy.stats.binom.cdf.
+
+    Boost returns NaN outside [0, n]; scipy floors k, gives 0 below the
+    support and 1 from n on, and NaN for every k when p is outside [0, 1].
+    """
+    k = np.floor(k)
+    out = np.where(k < 0, 0.0, np.where(k >= n, 1.0, _binom_cdf(k, n, p)))
+    return np.where((p >= 0) & (p <= 1), np.clip(out, 0.0, 1.0), np.nan)
+
+
 def binom_pmf(n: int, p: float, k: int) -> float:
     """P(Bin(n,p) = k)."""
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    return float(_st.binom.pmf(k, n, p))
+    return float(_pmf(k, n, p))
 
 
 def binom_cdf(n: int, p: float, k: float) -> float:
     """P(Bin(n,p) <= k)."""
-    return float(_st.binom.cdf(k, n, p))
-
-
-def _pmf_vector(n: int, p: float) -> np.ndarray:
-    return _st.binom.pmf(np.arange(n + 1), n, p)
+    return float(_cdf(k, n, p))
 
 
 class BinDiffDist:
@@ -75,8 +93,8 @@ class BinDiffDist:
                 "use bindiff_pmf/bindiff_cdf for point values"
             )
         self.n1, self.n2, self.p = n1, n2, p
-        p1 = _pmf_vector(n1, p)
-        p2 = _pmf_vector(n2, p)
+        p1 = _pmf(np.arange(n1 + 1), n1, p)
+        p2 = _pmf(np.arange(n2 + 1), n2, p)
         # index m of the table corresponds to d = m - n2
         self.table = np.convolve(p1, p2[::-1])
         self._cdf = _kahan_cumsum(self.table)
@@ -114,7 +132,7 @@ def _kahan_cumsum(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     s = 0.0
     c = 0.0
-    for i, v in enumerate(x):
+    for i, v in enumerate(x.tolist()):
         y = v - c
         t = s + y
         c = (t - s) - y
@@ -145,7 +163,7 @@ def bindiff_pmf(n1: int, n2: int, p: float, d: int) -> float:
     if hi < lo:
         return 0.0
     k = np.arange(lo, hi + 1)
-    terms = _st.binom.pmf(k + d, n1, p) * _st.binom.pmf(k, n2, p)
+    terms = _pmf(k + d, n1, p) * _pmf(k, n2, p)
     return float(math.fsum(terms))
 
 
@@ -161,7 +179,7 @@ def bindiff_cdf(n1: int, n2: int, p: float, d: int) -> float:
         return 0.0
     lo, hi = _window(n2, p)
     k = np.arange(lo, hi + 1)
-    terms = _st.binom.pmf(k, n2, p) * _st.binom.cdf(k + d, n1, p)
+    terms = _pmf(k, n2, p) * _cdf(k + d, n1, p)
     return min(1.0, max(0.0, math.fsum(terms)))
 
 

@@ -158,6 +158,18 @@ def test_invalid_arguments_exit_2():
     assert exc.value.code == 2
 
 
+def test_sweep_into_foreign_results_exit_2(tmp_path, capsys):
+    results = tmp_path / "results.jsonl"
+    base = ["sweep", "--n", "20", "--p", "0.3", "--delta", "1",
+            "--results", str(results)]
+    assert run_cli(base + ["--seed", "1", "--trials", "50"]) == 0
+    written = results.read_bytes()
+    capsys.readouterr()
+    assert run_cli(base + ["--seed", "99", "--trials", "500"]) == 2
+    assert "manifest" in capsys.readouterr().err
+    assert results.read_bytes() == written
+
+
 def test_runtime_failure_exit_1(capsys):
     code = run_cli(["sets", "--graph", "/nonexistent/file.json"])
     assert code == 1

@@ -88,16 +88,88 @@ def test_sweep_resume_after_torn_last_line(tmp_path):
         assert path.read_bytes() == intact, cut
 
 
-def test_sweep_checkpoints(tmp_path):
+def test_sweep_manifest(tmp_path):
+    from majlab import __version__
+    from majlab.harness import SEED_CONTRACT, config_fingerprint
     path = tmp_path / "res.jsonl"
     cfg = ExperimentConfig(n_values=(20,), p_values=(0.3,),
                            delta_values=(1.0,), trials=50, master_seed=1,
                            results_path=str(path), checkpoint_interval=10)
     run_sweep(cfg)
-    progress = path.with_suffix(".progress")
-    assert progress.exists()
-    lines = [json.loads(x) for x in progress.read_text().strip().split("\n")]
-    assert lines[-1]["trials_done"] == 50
+    manifest = json.loads((tmp_path / "res.jsonl.manifest.json").read_text())
+    assert manifest == {"schema": 1, "version": __version__,
+                        "seed_contract": SEED_CONTRACT,
+                        "fingerprint": config_fingerprint(cfg)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "res.jsonl", "res.jsonl.manifest.json"]
+    # workers, paths and the chunk size never change a result byte ...
+    same = ExperimentConfig(n_values=(20,), p_values=(0.3,),
+                            delta_values=(1.0,), trials=50, master_seed=1,
+                            workers=3, results_path="elsewhere.jsonl",
+                            summary_path="s.csv", checkpoint_interval=7)
+    assert config_fingerprint(same) == manifest["fingerprint"]
+    # ... while every output-deciding field does
+    base = dict(n_values=(20,), p_values=(0.3,), delta_values=(1.0,),
+                trials=50, master_seed=1)
+    changes = [dict(n_values=(21,)), dict(p_values=(0.31,)),
+               dict(delta_values=(2.0,)), dict(trials=51),
+               dict(master_seed=2), dict(cap=30),
+               dict(rule=UpdateRule.BIASED),
+               dict(delta_values=None, scheme=RandomHalf()),
+               dict(delta_values=None, scheme=RandomBiased(0.6))]
+    prints = {config_fingerprint(ExperimentConfig(**{**base, **c}))
+              for c in changes}
+    assert len(prints) == len(changes)
+    assert manifest["fingerprint"] not in prints
+
+
+def test_resume_refuses_results_of_another_config(tmp_path):
+    path = tmp_path / "res.jsonl"
+    first = ExperimentConfig(n_values=(20,), p_values=(0.3,),
+                             delta_values=(1.0,), trials=50, master_seed=1,
+                             results_path=str(path))
+    run_sweep(first)
+    written = path.read_bytes()
+    other = ExperimentConfig(n_values=(20,), p_values=(0.3,),
+                             delta_values=(1.0,), trials=500, master_seed=99,
+                             results_path=str(path))
+    with pytest.raises(ValueError, match="manifest .* differs"):
+        run_sweep(other)
+    assert path.read_bytes() == written
+    # an empty results file is free to claim, and the claim sticks
+    path.write_bytes(b"")
+    run_sweep(other)
+    claimed = path.read_bytes()
+    assert json.loads(claimed)["trials"] == 500
+    run_sweep(other)
+    assert path.read_bytes() == claimed
+    # a results file with no manifest (as older versions wrote) is refused
+    # too, even with a torn last line: nothing is truncated
+    (tmp_path / "res.jsonl.manifest.json").unlink()
+    path.write_bytes(written[:-3])
+    with pytest.raises(ValueError, match="manifest .* is missing"):
+        run_sweep(first)
+    assert path.read_bytes() == written[:-3]
+
+
+def test_resume_and_workers_keep_results_and_manifest_bytes(tmp_path):
+    def go(workers, name, cut_to_first_cell=False):
+        path = tmp_path / f"{name}.jsonl"
+        cfg = ExperimentConfig(n_values=(30,), p_values=(0.3,),
+                               delta_values=(1.0, 3.0), trials=60,
+                               master_seed=8, workers=workers,
+                               results_path=str(path))
+        run_sweep(cfg)
+        if cut_to_first_cell:
+            data = path.read_bytes()
+            path.write_bytes(data[:data.index(b"\n") + 1])
+            run_sweep(cfg)
+        manifest = tmp_path / f"{name}.jsonl.manifest.json"
+        return path.read_bytes(), manifest.read_bytes()
+
+    one = go(1, "w1")
+    assert go(2, "w2") == one
+    assert go(1, "resumed", cut_to_first_cell=True) == one
 
 
 def test_summary_csv_columns(tmp_path):

@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
 
+import majlab
+from majlab import probability
 from majlab.probability import (BERRY_ESSEEN_C, BinDiffDist, bindiff_cdf,
                                 bindiff_geq_exact, bindiff_pmf,
                                 bindiff_pmf_exact, binom_cdf, binom_pmf,
@@ -157,3 +164,91 @@ def test_binom_cdf_consistency():
     for k in range(n + 1):
         acc += binom_pmf(n, p, k)
         assert binom_cdf(n, p, k) == pytest.approx(acc, rel=1e-11)
+
+
+# ----------------------------------------------------------------------
+# the Boost ufuncs against scipy.stats.binom, bit for bit
+
+_NS = (0, 1, 2, 63, 64, 65, 1000, 20000)
+_PS = (0.0, 1e-6, 0.01, 0.5, 0.99, 1.0)
+_BAD_PS = (-0.5, 1.5, math.nan)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_binom_matches_scipy_stats_bitwise():
+    for n in _NS:
+        ks = np.arange(-3, n + 4)
+        inside = np.arange(n + 1)
+        frac = np.concatenate([ks + 0.5, ks - 0.25, [math.inf, -math.inf,
+                                                      math.nan]])
+        # the scalar API at every k up to n = 1000, at a stride beyond
+        pick = ks if n <= 1000 else np.unique(np.r_[ks[::97], ks[-8:]])
+        pick_in = pick[(pick >= 0) & (pick <= n)]
+        for p in _PS + _BAD_PS:
+            assert (_bits(probability._pmf(inside, n, p))
+                    == _bits(binom.pmf(inside, n, p))).all(), (n, p)
+            for k in (ks, frac):
+                assert (_bits(probability._cdf(k, n, p))
+                        == _bits(binom.cdf(k, n, p))).all(), (n, p)
+            got = [binom_pmf(n, p, int(k)) for k in pick_in]
+            assert (_bits(got) == _bits(binom.pmf(pick_in, n, p))).all()
+            for k in (pick, pick + 0.5):
+                got = [binom_cdf(n, p, float(k_)) for k_ in k]
+                assert (_bits(got) == _bits(binom.cdf(k, n, p))).all(), (n, p)
+        for k in (-1, n + 1):
+            with pytest.raises(ValueError):
+                binom_pmf(n, 0.5, k)
+    # Boost's pmf exceeds 1 here by 3e-14; scipy.stats clips, and so do we
+    assert binom_pmf(1, 1e-300, 0) == 1.0
+    assert math.isnan(binom_cdf(5, 1.5, 9)) and math.isnan(binom_cdf(5, -1, -2))
+
+
+def test_bindiff_matches_scipy_stats_bitwise(monkeypatch):
+    # the same code with scipy.stats.binom behind every binomial value
+    def values():
+        out = []
+        for n1 in _NS:
+            for n2 in _NS:
+                for p in _PS:
+                    for d in sorted({-n2 - 1, -n2, -1, 0, 1, (n1 - n2) // 2,
+                                     n1 - 1, n1, n1 + 1}):
+                        out += [bindiff_pmf(n1, n2, p, d),
+                                bindiff_cdf(n1, n2, p, d)]
+                    if n1 + n2 <= 20000 and (n1 <= 1000 or n2 == 0):
+                        dist = BinDiffDist(n1, n2, p)
+                        out += [*dist.table, *dist._cdf]
+        return np.array(out)
+
+    ours = values()
+    monkeypatch.setattr(probability, "_pmf", binom.pmf)
+    monkeypatch.setattr(probability, "_cdf", binom.cdf)
+    assert (_bits(ours) == _bits(values())).all()
+
+
+def test_kahan_cumsum_matches_numpy_scalar_loop():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.random(2000) * 10.0 ** rng.integers(-300, 3, 2000),
+                        BinDiffDist(300, 200, 0.3).table])
+    ref = np.empty_like(x)
+    s = c = np.float64(0.0)
+    for i, v in enumerate(x):
+        y = v - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        ref[i] = s
+    assert (_bits(probability._kahan_cumsum(x)) == _bits(ref)).all()
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up; majlab must not load it
+    src = str(Path(majlab.__file__).resolve().parent.parent)
+    code = ("import sys, majlab, majlab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,10 @@ previous day:
 * biased rule: take color 1 if d1 >= d2, color 2 if d1 <= d2 - 2, keep the
   current color only at d1 = d2 - 1.
 
+`takes_color1` is the one place these thresholds are written; the
+simulator, the exact oracle, the structural sets and the Fourier keep
+indicators all call it.
+
 Synchronous runs are eventually periodic with period at most 2, so a run
 terminates on unanimity, on a repeat of the state one or two days back, or
 at a day cap.
@@ -31,6 +35,7 @@ __all__ = [
     "TwoCycle",
     "CapReached",
     "DynamicsTrace",
+    "takes_color1",
     "step",
     "run",
     "default_cap",
@@ -97,19 +102,22 @@ class DynamicsTrace:
         return {"kind": "cap_reached", "cap": t.cap}
 
 
-def _new_color1(g: ColoredGraph, rule: UpdateRule) -> np.ndarray:
-    d1 = popcount_rows(g.adj & g.color1_words[None, :])
-    deg = g.degrees
-    cur1 = g.colors == 1
-    if rule is UpdateRule.STANDARD:
-        return (2 * d1 > deg) | ((2 * d1 == deg) & cur1)
-    # biased: d1 >= d2 wins for color 1; only d1 == d2 - 1 keeps the color
-    return (2 * d1 >= deg) | ((2 * d1 == deg - 1) & cur1)
+def takes_color1(margin, color1, rule: UpdateRule):
+    """Whether a vertex holds color 1 after one day of `rule`, elementwise.
+
+    margin is the vertex's color-1 minus color-2 neighbour count (d1 - d2)
+    and color1 whether it holds color 1 now.  Above the rule's keep margin
+    (0 standard, -1 biased) it takes color 1, below it color 2, and at it
+    the vertex keeps its color.
+    """
+    keep = 0 if rule is UpdateRule.STANDARD else -1
+    return (margin > keep) | ((margin == keep) & color1)
 
 
 def step(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD) -> ColoredGraph:
     """One synchronous day.  The input is untouched; adjacency is shared."""
-    new1 = _new_color1(g, rule)
+    margin = 2 * popcount_rows(g.adj & g.color1_words[None, :]) - g.degrees
+    new1 = takes_color1(margin, g.colors == 1, rule)
     return g.with_colors(np.where(new1, 1, 2).astype(np.int8))
 
 

@@ -10,6 +10,10 @@ and coefficients of a function f are f_hat(S) = E[f Phi_S].  Because the
 normalizer is irrational, each coefficient is kept internally as the exact
 rational r_S = E[f * prod_{e in S}(x_e + 1 - 2p)] together with |S|, so that
 squares, ratios, and reconstructions stay exact when p is rational.
+
+Exact and float tables share one transform: exact values go through the
+same numpy butterfly as an object array of Fractions, and exact tables hand
+their values out as lists.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
+from .dynamics import UpdateRule, takes_color1
 from .stats import compute_mu, compute_mu_exact
 
-__all__ = ["FourierTable", "fourier_coefficients", "edge_list"]
+__all__ = ["FourierTable", "fourier_coefficients", "edge_list", "config_weights"]
 
 _MAX_VERTICES = 7
 _EXACT_DEFAULT_LIMIT = 5
@@ -35,63 +40,60 @@ def edge_list(m: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(m), 2))
 
 
-def _popcounts(values: np.ndarray, mask: int) -> np.ndarray:
-    return np.bitwise_count(values & np.uint64(mask)).astype(np.int64)
+def _powers(base, exponents: np.ndarray) -> np.ndarray:
+    """base ** exponents elementwise: float64, or exact for a Fraction base."""
+    exact = isinstance(base, Fraction)
+    # np.power, because Fraction.__pow__ turns an array exponent into floats
+    return np.power(base, exponents.astype(object if exact else np.float64))
+
+
+def config_weights(p, n_edges: int, edges) -> np.ndarray:
+    """G(n, p) weight p^e (1-p)^(E-e) of a configuration with e of its
+    E = n_edges potential edges, for each edge count e in `edges`.
+
+    float64 for a float p; Fractions in an object array for a Fraction p.
+    """
+    e = np.asarray(edges)
+    return _powers(p, e) * _powers(1 - p, n_edges - e)
+
+
+def _set_sizes(n_bits: int) -> np.ndarray:
+    """|S| of every subset mask S below 2^n_bits, as uint8."""
+    return np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64))
 
 
 def _keep_flags(m: int, colors: Sequence[int], v: int) -> np.ndarray:
     """For every edge configuration, does v keep its color on biased day 1."""
-    edges = edge_list(m)
     star1 = 0
     star2 = 0
-    for k, (a, b) in enumerate(edges):
+    for k, (a, b) in enumerate(edge_list(m)):
         if v in (a, b):
             other = b if a == v else a
             if colors[other] == 1:
                 star1 |= 1 << k
             else:
                 star2 |= 1 << k
-    configs = np.arange(1 << len(edges), dtype=np.uint64)
-    d1 = _popcounts(configs, star1)
-    d2 = _popcounts(configs, star2)
-    if colors[v] == 1:
-        return d1 >= d2 - 1
-    return d1 <= d2 - 1
+    # 8-bit counts keep the 2^21-entry arrays of m = 7 small
+    configs = np.arange(1 << (m * (m - 1) // 2), dtype=np.uint64)
+    d1 = np.bitwise_count(configs & np.uint64(star1)).astype(np.int8)
+    d2 = np.bitwise_count(configs & np.uint64(star2)).astype(np.int8)
+    was1 = colors[v] == 1
+    return takes_color1(d1 - d2, was1, UpdateRule.BIASED) == was1
 
 
-def _forward_exact(a: list, n_bits: int, p: Fraction) -> list:
-    """x-indexed w(x)f(x) -> S-indexed r_S."""
+def _z_powers(m: int, colors: Sequence[int], v: int, mu_v,
+              power: int) -> np.ndarray:
+    """Z_v^power on every configuration; exact for a Fraction mu_v."""
+    signs = np.where(_keep_flags(m, colors, v), np.int8(1), np.int8(-1))
+    if isinstance(mu_v, Fraction):
+        signs = signs.astype(object)
+    return (signs - mu_v) ** power
+
+
+def _forward(a: np.ndarray, n_bits: int, p) -> np.ndarray:
+    """x-indexed w(x)f(x) -> S-indexed r_S, in place."""
     t0 = -2 * p          # edge absent: x_e = -1
     t1 = 2 - 2 * p       # edge present: x_e = +1
-    for k in range(n_bits):
-        low = 1 << k
-        for base in range(0, len(a), low << 1):
-            for off in range(base, base + low):
-                x0 = a[off]
-                x1 = a[off + low]
-                a[off] = x0 + x1
-                a[off + low] = t0 * x0 + t1 * x1
-    return a
-
-
-def _inverse_exact(a: list, n_bits: int, p: Fraction) -> list:
-    """S-indexed c_S -> x-indexed sum_S c_S prod_{k in S} t_k(x_k)."""
-    t0 = -2 * p
-    t1 = 2 - 2 * p
-    for k in range(n_bits):
-        low = 1 << k
-        for base in range(0, len(a), low << 1):
-            for off in range(base, base + low):
-                s0 = a[off]
-                s1 = a[off + low]
-                a[off] = s0 + t0 * s1
-                a[off + low] = s0 + t1 * s1
-    return a
-
-
-def _forward_float(a: np.ndarray, n_bits: int, p: float) -> np.ndarray:
-    t0 = -2.0 * p
-    t1 = 2.0 - 2.0 * p
     for k in range(n_bits):
         low = 1 << k
         shaped = a.reshape(-1, 2, low)
@@ -102,9 +104,10 @@ def _forward_float(a: np.ndarray, n_bits: int, p: float) -> np.ndarray:
     return a
 
 
-def _inverse_float(a: np.ndarray, n_bits: int, p: float) -> np.ndarray:
-    t0 = -2.0 * p
-    t1 = 2.0 - 2.0 * p
+def _inverse(a: np.ndarray, n_bits: int, p) -> np.ndarray:
+    """S-indexed c_S -> x-indexed sum_S c_S prod_{k in S} t_k(x_k), in place."""
+    t0 = -2 * p
+    t1 = 2 - 2 * p
     for k in range(n_bits):
         low = 1 << k
         shaped = a.reshape(-1, 2, low)
@@ -139,6 +142,9 @@ class FourierTable:
 
     def _mask_of(self, s: Union[int, Iterable[tuple[int, int]]]) -> int:
         if isinstance(s, int):
+            if not 0 <= s < 1 << self.n_edges:
+                raise ValueError(
+                    f"subset mask {s} out of range for {self.n_edges} edges")
             return s
         index = {e: k for k, e in enumerate(self.edges)}
         mask = 0
@@ -148,6 +154,15 @@ class FourierTable:
                 raise ValueError(f"not an edge of the vertex set: {e}")
             mask |= 1 << index[e]
         return mask
+
+    def _listed(self, a: np.ndarray) -> Union[list, np.ndarray]:
+        """Exact tables hand out lists of Fractions, float tables arrays."""
+        return a.tolist() if self.exact else a
+
+    def _norms_sq(self) -> np.ndarray:
+        """(4p(1-p))^|S| per subset mask S: the squared norm of
+        prod_{e in S}(x_e + 1 - 2p)."""
+        return _powers(4 * self.p * (1 - self.p), _set_sizes(self.n_edges))
 
     def coefficient_scaled(self, s) -> Union[float, Fraction]:
         """r_S = coefficient * (2 sqrt(p(1-p)))^|S|; exact when p is rational."""
@@ -163,11 +178,8 @@ class FourierTable:
         """Squared coefficient; exact rational in exact mode."""
         mask = self._mask_of(s)
         size = int(mask).bit_count()
-        r = self.scaled[mask]
-        if self.exact:
-            return r * r / (4 * self.p * (1 - self.p)) ** size
-        q = float(self.p)
-        return float(r) ** 2 / (4.0 * q * (1.0 - q)) ** size
+        r = self.scaled[mask] if self.exact else float(self.scaled[mask])
+        return r**2 / (4 * self.p * (1 - self.p)) ** size
 
     @property
     def coefficients(self) -> dict[frozenset, float]:
@@ -181,53 +193,25 @@ class FourierTable:
 
     def parseval_sum(self) -> Union[float, Fraction]:
         """sum_S coefficient(S)^2, which must equal E[(Z_v^power)^2]."""
-        if self.exact:
-            total = Fraction(0)
-            for mask, r in enumerate(self.scaled):
-                size = int(mask).bit_count()
-                total += r * r / (4 * self.p * (1 - self.p)) ** size
-            return total
-        q = float(self.p)
-        sizes = np.bitwise_count(np.arange(len(self.scaled), dtype=np.uint64))
-        return float(np.sum(np.asarray(self.scaled) ** 2
-                            / (4.0 * q * (1.0 - q)) ** sizes.astype(np.float64)))
+        total = np.sum(np.asarray(self.scaled) ** 2 / self._norms_sq())
+        return total if self.exact else float(total)
 
     def second_moment(self) -> Union[float, Fraction]:
         """E[(Z_v^power)^2] straight from the definition (Parseval's mate)."""
-        vals = self.function_values()
-        if self.exact:
-            p = self.p
-            total = Fraction(0)
-            for x, z in enumerate(vals):
-                e = int(x).bit_count()
-                total += p**e * (1 - p) ** (self.n_edges - e) * z * z
-            return total
-        e_counts = np.bitwise_count(
-            np.arange(len(vals), dtype=np.uint64)).astype(np.float64)
-        q = float(self.p)
-        w = q**e_counts * (1.0 - q) ** (self.n_edges - e_counts)
-        return float(np.sum(w * np.asarray(vals) ** 2))
+        w = config_weights(self.p, self.n_edges, _set_sizes(self.n_edges))
+        z = _z_powers(self.m, self.colors, self.v, self.mu_v, self.power)
+        total = np.sum(w * z ** 2)
+        return total if self.exact else float(total)
 
     def function_values(self) -> Union[list, np.ndarray]:
         """Z_v^power on every configuration, recomputed from the definition."""
-        keep = _keep_flags(self.m, self.colors, self.v)
-        if self.exact:
-            return [((1 if k else -1) - self.mu_v) ** self.power for k in keep]
-        return (np.where(keep, 1.0, -1.0) - float(self.mu_v)) ** self.power
+        return self._listed(
+            _z_powers(self.m, self.colors, self.v, self.mu_v, self.power))
 
     def reconstruct_all(self) -> Union[list, np.ndarray]:
         """Evaluate sum_S coefficient(S) Phi_S on every configuration at once."""
-        if self.exact:
-            p = self.p
-            c = []
-            for mask, r in enumerate(self.scaled):
-                size = int(mask).bit_count()
-                c.append(r / (4 * p * (1 - p)) ** size)
-            return _inverse_exact(c, self.n_edges, p)
-        q = float(self.p)
-        sizes = np.bitwise_count(np.arange(len(self.scaled), dtype=np.uint64))
-        c = np.asarray(self.scaled) / (4.0 * q * (1.0 - q)) ** sizes.astype(np.float64)
-        return _inverse_float(c, self.n_edges, q)
+        c = np.asarray(self.scaled) / self._norms_sq()
+        return self._listed(_inverse(c, self.n_edges, self.p))
 
 
 def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
@@ -259,33 +243,13 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
     c2 = m - c1
     if c1 < 1 or c2 < 1:
         raise ValueError("both colors must appear")
-    keep = _keep_flags(m, colors, v)
-    e_counts = np.bitwise_count(np.arange(1 << n_edges, dtype=np.uint64))
-
-    if exact:
-        pf = Fraction(p)
-        if not 0 < pf < 1:
-            raise ValueError(f"p must lie in (0,1), got {p}")
-        mu1, mu2 = compute_mu_exact(c1, c2, pf)
-        mu_v = mu1 if colors[v] == 1 else mu2
-        a = []
-        for x in range(1 << n_edges):
-            e = int(e_counts[x])
-            w = pf**e * (1 - pf) ** (n_edges - e)
-            z = (1 if keep[x] else -1) - mu_v
-            a.append(w * z**power)
-        scaled = _forward_exact(a, n_edges, pf)
-        return FourierTable(m, colors, v, pf, power, True, mu_v, scaled,
-                            max_set_size)
-
-    q = float(p)
-    if not 0.0 < q < 1.0:
+    q = Fraction(p) if exact else float(p)
+    if not 0 < q < 1:
         raise ValueError(f"p must lie in (0,1), got {p}")
-    mu1, mu2 = compute_mu(c1, c2, q)
+    mu1, mu2 = compute_mu_exact(c1, c2, q) if exact else compute_mu(c1, c2, q)
     mu_v = mu1 if colors[v] == 1 else mu2
-    w = q ** e_counts.astype(np.float64) * (1.0 - q) ** (
-        n_edges - e_counts).astype(np.float64)
-    z = (np.where(keep, 1.0, -1.0) - mu_v) ** power
-    scaled = _forward_float(w * z, n_edges, q)
-    return FourierTable(m, colors, v, q, power, False, mu_v, scaled,
-                        max_set_size)
+    a = (config_weights(q, n_edges, _set_sizes(n_edges))
+         * _z_powers(m, colors, v, mu_v, power))
+    scaled = _forward(a, n_edges, q)
+    return FourierTable(m, colors, v, q, power, exact, mu_v,
+                        scaled.tolist() if exact else scaled, max_set_size)

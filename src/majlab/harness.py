@@ -46,6 +46,7 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 _MANIFEST_SCHEMA = 1
+_MAX_CHUNK = 10_000  # most trials in one work chunk
 SEED_CONTRACT = ("trial t of cell c under master seed s draws its stream from "
                  "split_seed(s, c, t); cells reduce in trial order")
 
@@ -74,7 +75,6 @@ class ExperimentConfig:
     workers: int = 1
     results_path: Optional[str] = None
     summary_path: Optional[str] = None
-    checkpoint_interval: int = 10_000  # most trials in one work chunk
 
     def __post_init__(self):
         if self.trials < 1:
@@ -222,7 +222,7 @@ def _aggregate(cell: Cell, outcomes: list[tuple[int, int, int, int, int]],
 def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool,
                   track_majority: bool) -> CellResult:
     cap = cfg.cap if cfg.cap is not None else default_cap(cell.n, cell.p)
-    chunk = max(1, min(cfg.checkpoint_interval,
+    chunk = max(1, min(_MAX_CHUNK,
                        math.ceil(cfg.trials / max(1, cfg.workers * 4))))
     chunks = [
         (cell.n, cell.p, cell.scheme, cfg.rule, cap, cfg.master_seed,
@@ -241,8 +241,7 @@ class ForeignResultsError(ValueError):
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """sha256 of the config fields that decide the bytes of results.jsonl.
 
-    Workers, paths and checkpoint_interval are left out: they never change
-    a result.
+    Workers and paths are left out: they never change a result.
     """
     fields = {
         "n_values": list(cfg.n_values), "p_values": list(cfg.p_values),

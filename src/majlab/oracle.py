@@ -28,8 +28,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dynamics import UpdateRule
-from .fourier import edge_list, fourier_coefficients
+from .dynamics import UpdateRule, takes_color1
+from .fourier import config_weights, edge_list, fourier_coefficients
 from .stats import compute_mu, compute_mu_exact
 
 __all__ = [
@@ -231,11 +231,8 @@ class _Cube:
     def step(self, c1, rule: UpdateRule) -> np.ndarray:
         """One synchronous day in every configuration (twin of step_mask)."""
         c1 = np.asarray(c1, dtype=np.uint8)
-        gap = 2 * _popcount(self.rows & c1[..., None]) - self.degrees
-        cur = self._members(c1)
-        if rule is UpdateRule.STANDARD:
-            return self._pack((gap > 0) | ((gap == 0) & cur))
-        return self._pack((gap >= 0) | ((gap == -1) & cur))
+        margin = 2 * _popcount(self.rows & c1[..., None]) - self.degrees
+        return self._pack(takes_color1(margin, self._members(c1), rule))
 
     def _margins(self, c1m: int, skip: int) -> np.ndarray:
         """Color-1 minus color-2 neighbours of every vertex, ignoring `skip`."""
@@ -247,8 +244,8 @@ class _Cube:
     def rhat(self, c1m: int, w: int) -> np.ndarray:
         """Day-1 margin set of focal vertex w (twin of rhat_mask)."""
         lw = 1 if c1m >> w & 1 else -1
-        gap = self._margins(c1m, 1 << w) + lw
-        member = np.where(self._members(c1m), gap >= 0, gap > 0)
+        member = takes_color1(self._margins(c1m, 1 << w) + lw,
+                              self._members(c1m), UpdateRule.STANDARD)
         return self._pack(member & ~self._members(1 << w))
 
     def s_sets(self, c1m: int, u: int, v: int):
@@ -256,12 +253,14 @@ class _Cube:
         if not (c1m >> u & 1 and c1m >> v & 1):
             raise ValueError("both focal vertices must have color 1")
         skip = (1 << u) | (1 << v)
-        # color-1 vertices sit one step lower on the same thresholds
-        gap = self._margins(c1m, skip) + self._members(c1m)
-        rest = ~self._members(skip)
-        s1 = self._pack((gap >= 0) & rest)
-        s2 = self._pack((gap <= -2) & rest)
-        ss = self._pack((gap == -1) & rest)
+        gap = self._margins(c1m, skip)
+        cur = self._members(c1m)
+        rest = np.uint8(((1 << self.n) - 1) & ~skip)
+        # s1: color 1 on day 1 with one color-1 focal neighbour; s2: color 2
+        # even with both; s_star: the rest
+        s1 = self._pack(takes_color1(gap + 1, cur, UpdateRule.STANDARD)) & rest
+        s2 = self._pack(~takes_color1(gap + 2, cur, UpdateRule.STANDARD)) & rest
+        ss = rest & ~(s1 | s2)
         ig = _popcount(ss & self.rows[:, u] & self.rows[:, v])
         return s1, s2, ss, ig
 
@@ -502,20 +501,14 @@ def _mask_values(q: OracleQuery, exact: bool) -> _Table:
     raise TypeError(f"unsupported statistic: {stat!r}")
 
 
-def _float_weights(cube: _Cube, p: float) -> np.ndarray:
-    e = cube.edges.astype(np.float64)
-    return p**e * (1.0 - p) ** (cube.n_edges - e)
-
-
 def _integrate(q: OracleQuery, table: _Table) -> OracleResult:
     """Expectation of the table (variance for VarCount) under G(n, p)."""
     cube = _cube(q.n)
     var = isinstance(q.statistic, VarCount)
 
     if q.exact:
-        p = Fraction(q.p)
         n_edges = cube.n_edges
-        weights = [p**e * (1 - p) ** (n_edges - e) for e in range(n_edges + 1)]
+        weights = config_weights(Fraction(q.p), n_edges, range(n_edges + 1))
 
         def mean(keys: np.ndarray, values: Sequence) -> Fraction:
             # configurations of one edge count share a weight
@@ -534,7 +527,7 @@ def _integrate(q: OracleQuery, table: _Table) -> OracleResult:
             return OracleResult(sq - total * total, details)
         return OracleResult(total, details)
 
-    w = _float_weights(cube, float(q.p))
+    w = config_weights(float(q.p), cube.n_edges, cube.edges)
     v_arr = np.asarray([float(x) for x in table.values])[table.keys]
     total = math.fsum(w * v_arr)
     details = {"exact": False, "accumulation_terms": len(v_arr)}
@@ -758,4 +751,4 @@ def enumerate_trial_quantities(n: int, c1: int, p: float,
         "v2_in_c12": d2 >> v2 & 1,
     }
     cols = {name: col.astype(np.float64) for name, col in cols.items()}
-    return cols, _float_weights(cube, p)
+    return cols, config_weights(p, cube.n_edges, cube.edges)

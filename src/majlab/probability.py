@@ -63,6 +63,11 @@ def _cdf(k, n: int, p: float):
     return np.where((p >= 0) & (p <= 1), np.clip(out, 0.0, 1.0), np.nan)
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"p must lie in [0,1], got {p}")
+
+
 def binom_pmf(n: int, p: float, k: int) -> float:
     """P(Bin(n,p) = k)."""
     if not 0 <= k <= n:
@@ -85,8 +90,7 @@ class BinDiffDist:
     def __init__(self, n1: int, n2: int, p: float):
         if n1 < 0 or n2 < 0:
             raise ValueError("trial counts must be nonnegative")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0,1], got {p}")
+        _check_p(p)
         if n1 + n2 > _FULL_TABLE_LIMIT:
             raise ValueError(
                 f"full table limited to n1+n2 <= {_FULL_TABLE_LIMIT}; "
@@ -153,8 +157,9 @@ def bindiff_pmf(n1: int, n2: int, p: float, d: int) -> float:
     """P(Bin(n1,p) - Bin(n2,p) = d); 0 outside the support.
 
     Sums pmf1(k+d) * pmf2(k) over a +-12-sigma window of X2 (error below
-    the 1e-25 scale of the discarded tails).
+    the 1e-25 scale of the discarded tails).  p must lie in [0, 1].
     """
+    _check_p(p)
     if d > n1 or d < -n2:
         return 0.0
     lo, hi = _window(n2, p)
@@ -171,8 +176,9 @@ def bindiff_cdf(n1: int, n2: int, p: float, d: int) -> float:
     """P(Bin(n1,p) - Bin(n2,p) <= d), via sum_k pmf2(k) * cdf1(k + d).
 
     k runs over a +-12-sigma window of X2; the two omitted X2 tails carry
-    mass below 1e-25 each.
+    mass below 1e-25 each.  p must lie in [0, 1].
     """
+    _check_p(p)
     if d >= n1:
         return 1.0
     if d < -n2:

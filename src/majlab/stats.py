@@ -122,26 +122,25 @@ class CenteredIndicators:
     kept: np.ndarray
 
 
+def _centered(g: ColoredGraph, mu1, mu2) -> tuple[np.ndarray, np.ndarray,
+                                                   Union[float, Fraction]]:
+    """(kept, Z_v, Z) on one graph; exact, with Z_v an object array, for
+    Fraction mu's."""
+    kept = np.asarray(step(g, UpdateRule.BIASED).colors == g.colors)
+    is_c1 = g.colors == 1
+    z_values = np.where(kept, 1, -1) - np.where(is_c1, mu1, mu2)
+    z = np.sum(np.where(is_c1, z_values, -z_values))
+    return kept, z_values, z if isinstance(z, Fraction) else float(z)
+
+
 def centered_indicators(g: ColoredGraph, p, exact: bool = False) -> CenteredIndicators:
     """Per-vertex Z_v and the aggregate Z = sum_v L(v) Z_v for one graph."""
     c1, c2 = g.counts()
-    day1 = step(g, UpdateRule.BIASED)
-    kept = np.asarray(day1.colors == g.colors)
-    is_c1 = g.colors == 1
-    if exact:
-        mu1, mu2 = compute_mu_exact(c1, c2, Fraction(p))
-        z_values = [
-            (1 if kept[v] else -1) - (mu1 if is_c1[v] else mu2)
-            for v in range(g.n)
-        ]
-        z = sum(zv if is_c1[v] else -zv for v, zv in enumerate(z_values))
-        return CenteredIndicators(mu1, mu2, z_values, z, kept)
-    mu1, mu2 = compute_mu(c1, c2, p)
-    sign = np.where(kept, 1.0, -1.0)
-    mu_v = np.where(is_c1, mu1, mu2)
-    z_values = sign - mu_v
-    z = float(np.sum(np.where(is_c1, z_values, -z_values)))
-    return CenteredIndicators(mu1, mu2, z_values, z, kept)
+    mu1, mu2 = (compute_mu_exact(c1, c2, Fraction(p)) if exact
+                else compute_mu(c1, c2, p))
+    kept, z_values, z = _centered(g, mu1, mu2)
+    return CenteredIndicators(mu1, mu2, z_values.tolist() if exact else z_values,
+                              z, kept)
 
 
 def double_factorial(m: int) -> int:
@@ -181,12 +180,7 @@ def moment_estimate(n: int, p: float, delta, k: int, trials: int,
     samples = np.empty(trials)
     for t in range(trials):
         g = sample_gnp(GraphParams(n, p, split_seed(master_seed, t)), scheme)
-        day1 = step(g, UpdateRule.BIASED)
-        kept = day1.colors == g.colors
-        is_c1 = g.colors == 1
-        zv = np.where(kept, 1.0, -1.0) - np.where(is_c1, mu1, mu2)
-        z = float(np.sum(np.where(is_c1, zv, -zv)))
-        samples[t] = z**k
+        samples[t] = _centered(g, mu1, mu2)[2] ** k
     value = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     odd = k % 2 == 1

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import UpdateRule, step
+from .dynamics import UpdateRule, step, takes_color1
 from .graphs import ColoredGraph, popcount_rows, unpack_row
 
 __all__ = [
@@ -76,8 +76,7 @@ def compute_r_hat(g: ColoredGraph, w: int) -> np.ndarray:
     d1p = d1 - (ew & w_color1)
     d2p = d2 - (ew & ~w_color1)
     lw = 1 if w_color1 else -1
-    is_c1 = g.colors == 1
-    member = np.where(is_c1, d1p + lw >= d2p, d1p + lw > d2p)
+    member = takes_color1(d1p + lw - d2p, g.colors == 1, UpdateRule.STANDARD)
     member[w] = False
     return np.flatnonzero(member)
 
@@ -98,12 +97,13 @@ def compute_s_sets(g: ColoredGraph, u: int, v: int) -> StructuralReport:
     ev = unpack_row(g.adj[v], g.n)
     gap = (d1 - eu.astype(np.int64) - ev.astype(np.int64)) - d2
     is_c1 = g.colors == 1
-    in_s1 = np.where(is_c1, gap >= -1, gap >= 0)
-    in_s2 = np.where(is_c1, gap <= -3, gap <= -2)
-    in_star = np.where(is_c1, gap == -2, gap == -1)
-    for arr in (in_s1, in_s2, in_star):
-        arr[u] = False
-        arr[v] = False
+    rest = np.ones(g.n, dtype=bool)
+    rest[[u, v]] = False
+    # s1: color 1 on day 1 with one color-1 focal neighbour; s2: color 2
+    # even with both; s_star: the rest
+    in_s1 = takes_color1(gap + 1, is_c1, UpdateRule.STANDARD) & rest
+    in_s2 = ~takes_color1(gap + 2, is_c1, UpdateRule.STANDARD) & rest
+    in_star = rest & ~in_s1 & ~in_s2
     i_g = int(np.count_nonzero(in_star & eu & ev))
     return StructuralReport(
         u=u,

@@ -122,6 +122,12 @@ def test_coefficient_lookup_by_edges():
     assert by_mask == by_edges
     with pytest.raises(ValueError):
         t.coefficient([(0, 7)])
+    # masks index the 2^6 subsets of K4's edges; others must not alias
+    t4 = fourier_coefficients(4, (1, 1, 2, 2), 0, Fraction(1, 4))
+    for bad in (-63, -1, 64):
+        for lookup in (t4.coefficient, t4.coefficient_scaled, t4.coefficient_sq):
+            with pytest.raises(ValueError):
+                lookup(bad)
 
 
 def test_coefficients_dict_respects_max_size():

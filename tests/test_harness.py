@@ -94,7 +94,7 @@ def test_sweep_manifest(tmp_path):
     path = tmp_path / "res.jsonl"
     cfg = ExperimentConfig(n_values=(20,), p_values=(0.3,),
                            delta_values=(1.0,), trials=50, master_seed=1,
-                           results_path=str(path), checkpoint_interval=10)
+                           results_path=str(path))
     run_sweep(cfg)
     manifest = json.loads((tmp_path / "res.jsonl.manifest.json").read_text())
     assert manifest == {"schema": 1, "version": __version__,
@@ -102,11 +102,11 @@ def test_sweep_manifest(tmp_path):
                         "fingerprint": config_fingerprint(cfg)}
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "res.jsonl", "res.jsonl.manifest.json"]
-    # workers, paths and the chunk size never change a result byte ...
+    # workers and paths never change a result byte ...
     same = ExperimentConfig(n_values=(20,), p_values=(0.3,),
                             delta_values=(1.0,), trials=50, master_seed=1,
                             workers=3, results_path="elsewhere.jsonl",
-                            summary_path="s.csv", checkpoint_interval=7)
+                            summary_path="s.csv")
     assert config_fingerprint(same) == manifest["fingerprint"]
     # ... while every output-deciding field does
     base = dict(n_values=(20,), p_values=(0.3,), delta_values=(1.0,),

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from majlab.dynamics import UpdateRule
-from majlab.fourier import fourier_coefficients
+from majlab.fourier import edge_list, fourier_coefficients
+from majlab.graphs import FixedGap, GraphParams, sample_gnp, split_seed
 from majlab.oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
                            SetStat, VarCount, WinProb, _cube,
                            enumerate_trial_quantities, exhaustive_identity_scan,
                            mask_trajectory, oracle_eval, oracle_vs_mc,
                            rhat_mask, rows_from_mask, s_sets_mask, step_mask)
-from majlab.stats import compute_mu, compute_mu_exact
+from majlab.stats import _gather_trial_quantities, compute_mu, compute_mu_exact
 
 from conftest import enumerate_small_graphs, naive_step
 
@@ -440,3 +441,29 @@ def test_enumerate_trial_quantities_matches_scalar_loop():
         for name, col in cols.items():
             np.testing.assert_array_equal(col, want_cols[name], err_msg=name)
         np.testing.assert_array_equal(weights, want_weights)
+
+
+def test_sampled_and_enumerated_trial_records_agree():
+    # The Monte Carlo and the exact bound report build the same 14 columns
+    # with two drivers.  Relabelling a sampled graph so that its color-1
+    # vertices become 0..c1-1 in index order keeps the focal vertices (first
+    # and second color-1, first color-2) and gives its enumerated row.
+    seed, trials = 17, 50
+    for n, delta, p, cap in [(5, 0.5, 0.5, 6), (6, 1, 0.4, 2)]:
+        scheme = FixedGap.from_delta(delta)
+        c1, _ = scheme.class_sizes(n)
+        sampled = _gather_trial_quantities(n, p, delta, trials, seed, cap)
+        cols, _ = enumerate_trial_quantities(n, c1, p, cap)
+        assert list(sampled) == list(cols)
+        index = {e: k for k, e in enumerate(edge_list(n))}
+        for t in range(trials):
+            g = sample_gnp(GraphParams(n, p, split_seed(seed, t)), scheme)
+            label = np.empty(n, dtype=int)
+            label[np.argsort(g.colors, kind="stable")] = np.arange(n)
+            mask = 0
+            for a, b in edge_list(n):
+                if g.is_edge(a, b):
+                    mask |= 1 << index[tuple(sorted((label[a], label[b])))]
+            for name, col in cols.items():
+                np.testing.assert_array_equal(sampled[name][t], col[mask],
+                                              err_msg=f"{name} n={n} t={t}")

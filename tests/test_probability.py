@@ -228,6 +228,18 @@ def test_bindiff_matches_scipy_stats_bitwise(monkeypatch):
     assert (_bits(ours) == _bits(values())).all()
 
 
+def test_bindiff_rejects_bad_p():
+    # d = 9 and d = -9 are the early returns outside the support
+    for p in _BAD_PS:
+        for d in (-9, 0, 9):
+            with pytest.raises(ValueError):
+                bindiff_pmf(5, 5, p, d)
+            with pytest.raises(ValueError):
+                bindiff_cdf(5, 5, p, d)
+        with pytest.raises(ValueError):
+            BinDiffDist(5, 5, p)
+
+
 def test_kahan_cumsum_matches_numpy_scalar_loop():
     rng = np.random.default_rng(11)
     x = np.concatenate([rng.random(2000) * 10.0 ** rng.integers(-300, 3, 2000),

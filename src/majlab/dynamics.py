@@ -8,9 +8,10 @@ previous day:
 * biased rule: take color 1 if d1 >= d2, color 2 if d1 <= d2 - 2, keep the
   current color only at d1 = d2 - 1.
 
-`takes_color1` is the one place these thresholds are written; the
-simulator, the exact oracle, the structural sets and the Fourier keep
-indicators all call it.
+`keep_margin` is the one place these thresholds are written.
+`takes_color1` applies them, and the simulator, the exact oracle, the
+structural sets and the Fourier keep indicators all call it; the day-1
+centering constants `stats.compute_mu`/`compute_mu_exact` read the margin.
 
 Synchronous runs are eventually periodic with period at most 2, so a run
 terminates on unanimity, on a repeat of the state one or two days back, or
@@ -35,6 +36,7 @@ __all__ = [
     "TwoCycle",
     "CapReached",
     "DynamicsTrace",
+    "keep_margin",
     "takes_color1",
     "step",
     "run",
@@ -102,15 +104,21 @@ class DynamicsTrace:
         return {"kind": "cap_reached", "cap": t.cap}
 
 
+def keep_margin(rule: UpdateRule) -> int:
+    """The margin d1 - d2 at which a vertex keeps its color under `rule`:
+    0 standard, -1 biased."""
+    return 0 if rule is UpdateRule.STANDARD else -1
+
+
 def takes_color1(margin, color1, rule: UpdateRule):
     """Whether a vertex holds color 1 after one day of `rule`, elementwise.
 
     margin is the vertex's color-1 minus color-2 neighbour count (d1 - d2)
     and color1 whether it holds color 1 now.  Above the rule's keep margin
-    (0 standard, -1 biased) it takes color 1, below it color 2, and at it
-    the vertex keeps its color.
+    it takes color 1, below it color 2, and at it the vertex keeps its
+    color.
     """
-    keep = 0 if rule is UpdateRule.STANDARD else -1
+    keep = keep_margin(rule)
     return (margin > keep) | ((margin == keep) & color1)
 
 

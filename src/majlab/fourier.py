@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -140,8 +141,9 @@ class FourierTable:
     def n_edges(self) -> int:
         return self.m * (self.m - 1) // 2
 
-    def _mask_of(self, s: Union[int, Iterable[tuple[int, int]]]) -> int:
-        if isinstance(s, int):
+    def _mask_of(self, s: Union[numbers.Integral, Iterable[tuple[int, int]]]) -> int:
+        if isinstance(s, numbers.Integral):
+            s = int(s)
             if not 0 <= s < 1 << self.n_edges:
                 raise ValueError(
                     f"subset mask {s} out of range for {self.n_edges} edges")

@@ -3,6 +3,12 @@
 Vertices are indices 0..n-1.  Adjacency is stored as n rows of 64-bit words
 (bit j of row i set iff i ~ j), so neighbourhood/color intersections are
 word-AND plus popcount.  Colors are the integers 1 and 2.
+
+`sample_gnp` builds the adjacency in three stages: geometric skips draw the
+sorted linear indices of the present pairs (`_sample_pair_indices`, the only
+stage that calls the RNG), a per-row mapping turns them into pairs i < j
+(`_pairs_from_linear`), and one flat scatter adds both orientations' bits
+into the words.
 """
 
 from __future__ import annotations
@@ -236,7 +242,8 @@ class ColoredGraph:
 
 
 def _sample_pair_indices(rng: np.random.Generator, n_pairs: int, p: float) -> np.ndarray:
-    """Indices of present pairs among 0..n_pairs-1, each independently kept w.p. p.
+    """Strictly increasing indices of present pairs among 0..n_pairs-1, each
+    independently kept w.p. p.
 
     Geometric skips between successes, so work is proportional to the number
     of edges rather than the number of pairs.
@@ -264,11 +271,16 @@ def _sample_pair_indices(rng: np.random.Generator, n_pairs: int, p: float) -> np
 
 
 def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear upper-triangle indices to (i, j) with i < j."""
-    row_starts = np.arange(n - 1, dtype=np.int64) * (n - 1) - (
-        np.arange(n - 1, dtype=np.int64) * (np.arange(n - 1, dtype=np.int64) - 1)
-    ) // 2
-    i = np.searchsorted(row_starts, idx, side="right") - 1
+    """Map linear upper-triangle indices to (i, j) with i < j.
+
+    idx must be strictly increasing, as the geometric skips make it: then
+    the pairs of row i are one contiguous run of idx, so n searches of the
+    row starts into idx give every row's count, and i is each row repeated.
+    """
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_starts = rows * (n - 1) - rows * (rows - 1) // 2
+    counts = np.diff(np.searchsorted(idx, row_starts), append=idx.shape[0])
+    i = np.repeat(rows, counts)
     j = i + 1 + (idx - row_starts[i])
     return i, j
 
@@ -289,8 +301,10 @@ def sample_gnp(params: GraphParams, scheme: ColoringScheme) -> ColoredGraph:
     if idx.shape[0]:
         i, j = _pairs_from_linear(n, idx)
         one = np.uint64(1)
-        np.bitwise_or.at(adj, (i, j >> 6), one << (j & 63).astype(np.uint64))
-        np.bitwise_or.at(adj, (j, i >> 6), one << (i & 63).astype(np.uint64))
+        flat = adj.reshape(-1)
+        # A simple graph sets each bit once, so adding bits into a word ors them.
+        np.add.at(flat, i * w + (j >> 6), one << (j & 63).astype(np.uint64))
+        np.add.at(flat, j * w + (i >> 6), one << (i & 63).astype(np.uint64))
 
     if isinstance(scheme, FixedGap):
         c1, c2 = scheme.class_sizes(n)

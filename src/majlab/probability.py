@@ -121,10 +121,6 @@ class BinDiffDist:
             return 1.0
         return float(self._cdf[m])
 
-    def sf_geq(self, d: int) -> float:
-        """P(X1 - X2 >= d)."""
-        return 1.0 - self.cdf(d - 1)
-
     def total_mass(self) -> float:
         return float(self._cdf[-1])
 

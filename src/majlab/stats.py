@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import UpdateRule, default_cap, run, step
+from .dynamics import UpdateRule, default_cap, keep_margin, run, step
 from .graphs import (ColoredGraph, FixedGap, GraphParams, sample_gnp,
                      split_seed)
 from .probability import (BERRY_ESSEEN_C, bindiff_cdf, bindiff_geq_exact,
@@ -83,15 +83,19 @@ def _check_sizes(c1: int, c2: int) -> None:
 def compute_mu(c1: int, c2: int, p: float) -> tuple[float, float]:
     """Centering constants of the biased day-1 keep events.
 
-    mu1 = 2 P(Bin(c1-1,p) - Bin(c2,p) >= -1) - 1   (color-1 vertex keeps)
-    mu2 = 2 P(Bin(c2-1,p) - Bin(c1,p) >= +1) - 1   (color-2 vertex keeps)
+    With keep = keep_margin(BIASED), the margin at which a vertex keeps:
 
-    The asymmetric shifts mirror the rule: color 1 already wins ties, so a
-    color-2 vertex survives only on a strict same-color majority.
+    mu1 = 2 P(Bin(c1-1,p) - Bin(c2,p) >= keep) - 1    (color-1 vertex keeps)
+    mu2 = 2 P(Bin(c2-1,p) - Bin(c1,p) >= -keep) - 1   (color-2 vertex keeps)
+
+    A color-1 vertex keeps at or above the margin, a color-2 vertex at or
+    below it.  Color 1 already wins ties, so a color-2 vertex survives only
+    on a strict same-color majority.
     """
     _check_sizes(c1, c2)
-    mu1 = 2.0 * (1.0 - bindiff_cdf(c1 - 1, c2, p, -2)) - 1.0
-    mu2 = 2.0 * (1.0 - bindiff_cdf(c2 - 1, c1, p, 0)) - 1.0
+    keep = keep_margin(UpdateRule.BIASED)
+    mu1 = 2.0 * (1.0 - bindiff_cdf(c1 - 1, c2, p, keep - 1)) - 1.0
+    mu2 = 2.0 * (1.0 - bindiff_cdf(c2 - 1, c1, p, -keep - 1)) - 1.0
     return mu1, mu2
 
 
@@ -99,8 +103,9 @@ def compute_mu_exact(c1: int, c2: int, p: Union[Fraction, int]) -> tuple[Fractio
     """Exact-rational twin of compute_mu."""
     _check_sizes(c1, c2)
     p = Fraction(p)
-    mu1 = 2 * bindiff_geq_exact(c1 - 1, c2, p, -1) - 1
-    mu2 = 2 * bindiff_geq_exact(c2 - 1, c1, p, 1) - 1
+    keep = keep_margin(UpdateRule.BIASED)
+    mu1 = 2 * bindiff_geq_exact(c1 - 1, c2, p, keep) - 1
+    mu2 = 2 * bindiff_geq_exact(c2 - 1, c1, p, -keep) - 1
     return mu1, mu2
 
 

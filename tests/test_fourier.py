@@ -124,10 +124,15 @@ def test_coefficient_lookup_by_edges():
         t.coefficient([(0, 7)])
     # masks index the 2^6 subsets of K4's edges; others must not alias
     t4 = fourier_coefficients(4, (1, 1, 2, 2), 0, Fraction(1, 4))
-    for bad in (-63, -1, 64):
+    for bad in (-63, -1, 64, np.int64(-63), np.int64(-1), np.int64(64),
+                np.uint8(64)):
         for lookup in (t4.coefficient, t4.coefficient_scaled, t4.coefficient_sq):
             with pytest.raises(ValueError):
                 lookup(bad)
+    # numpy integers, as np.flatnonzero hands them out, are masks too
+    for mask in (np.int64(1), np.uint8(1), np.int32(63)):
+        for lookup in (t4.coefficient, t4.coefficient_scaled, t4.coefficient_sq):
+            assert lookup(mask) == lookup(int(mask))
 
 
 def test_coefficients_dict_respects_max_size():

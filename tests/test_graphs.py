@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, RandomBiased,
-                           RandomHalf, degree_split, pack_color_mask,
-                           sample_gnp, split_seed, unpack_row)
+                           RandomHalf, _n_words, _pairs_from_linear,
+                           _sample_pair_indices, degree_split,
+                           pack_color_mask, sample_gnp, split_seed,
+                           unpack_row)
 
 
 def test_p_one_gives_complete_graph():
@@ -26,6 +30,61 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.colors, b.colors)
     c = sample_gnp(GraphParams(5, 0.5, 43), RandomHalf())
     assert not (np.array_equal(a.adj, c.adj) and np.array_equal(a.colors, c.colors))
+
+
+def _reference_pairs(n, idx):
+    """One search of each linear index into the row starts."""
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_starts = rows * (n - 1) - (rows * (rows - 1)) // 2
+    i = np.searchsorted(row_starts, idx, side="right") - 1
+    j = i + 1 + (idx - row_starts[i])
+    return i, j
+
+
+def _reference_adjacency(n, idx):
+    """Both orientations of every pair or-ed into its (row, word) cell."""
+    adj = np.zeros((n, _n_words(n)), dtype=np.uint64)
+    if idx.shape[0]:
+        i, j = _reference_pairs(n, idx)
+        one = np.uint64(1)
+        np.bitwise_or.at(adj, (i, j >> 6), one << (j & 63).astype(np.uint64))
+        np.bitwise_or.at(adj, (j, i >> 6), one << (i & 63).astype(np.uint64))
+    return adj
+
+
+@pytest.mark.parametrize("n,p,seeds", [
+    *((n, p, range(4)) for n in (1, 2, 3, 63, 64, 65, 127, 128, 129)
+      for p in (0.0, 0.3, 1.0)),
+    (2000, 0.05, range(2)),
+])
+def test_sampler_matches_reference_construction(n, p, seeds):
+    for seed in seeds:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        idx = _sample_pair_indices(rng, n * (n - 1) // 2, p)
+        i, j = _pairs_from_linear(n, idx)
+        ref_i, ref_j = _reference_pairs(n, idx)
+        assert i.dtype == ref_i.dtype and j.dtype == ref_j.dtype
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+        g = sample_gnp(GraphParams(n, p, seed), RandomHalf())
+        assert np.array_equal(g.adj, _reference_adjacency(n, idx))
+
+
+# sha256 of adj.tobytes() + colors.tobytes(): equal seeds must keep giving
+# these bits, so a sampler change that moves any bit fails here
+@pytest.mark.parametrize("n,p,seed,scheme,digest", [
+    pytest.param(65, 0.3, 11, FixedGap.from_delta(0.5),
+                 "024d882f753a50eaecbcd3856947804db43869288f4c1558d484bec0baad2bfc",
+                 id="fixed-gap-65"),
+    pytest.param(129, 0.5, 12, RandomHalf(),
+                 "feeea7931e0bed654746b8b8f9566ad0f9088bec987c20061e8891fe501edf96",
+                 id="random-half-129"),
+    pytest.param(10_000, 0.01, 13, FixedGap.from_delta(1000),
+                 "3e7da7a2b2f313042694e6fe2a1be280ea03763c62b32a5699119f1bf17a6d89",
+                 id="fixed-gap-10000"),
+])
+def test_sampler_golden_digests(n, p, seed, scheme, digest):
+    g = sample_gnp(GraphParams(n, p, seed), scheme)
+    assert hashlib.sha256(g.adj.tobytes() + g.colors.tobytes()).hexdigest() == digest
 
 
 def test_degree_split_examples():

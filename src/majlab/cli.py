@@ -23,7 +23,7 @@ from .dynamics import UpdateRule, default_cap, run
 from .graphs import (ColoredGraph, FixedGap, GraphParams, RandomBiased,
                      RandomHalf, sample_gnp)
 from .harness import (ExperimentConfig, ForeignResultsError, run_sweep,
-                      threshold_scan)
+                      summary_rows, threshold_scan)
 from .oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
                      SetStat, VarCount, WinProb, oracle_eval)
 from .stats import lemma_report
@@ -250,13 +250,8 @@ def _cmd_sweep(args) -> int:
         results_path=args.results, summary_path=args.summary)
     result = run_sweep(cfg)
     if args.format == "csv":
-        print("cell_id,n,p,delta,trials,win1,win2,cycles,cap_hits,p_hat,"
-              "wilson_lo,wilson_hi,mean_days")
-        for c in result.cells:
-            print(",".join(str(x) if x is not None else "" for x in (
-                c.cell_id, c.n, c.p, c.delta, c.trials, c.wins1, c.wins2,
-                c.cycles, c.cap_hits, c.p_hat, c.wilson_lo, c.wilson_hi,
-                c.mean_days)))
+        for row in summary_rows(result.cells):
+            print(",".join(map(str, row)))
     else:
         for cell in result.cells:
             print(json.dumps(cell.to_record(), sort_keys=True))

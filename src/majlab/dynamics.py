@@ -158,8 +158,8 @@ def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,
     return DynamicsTrace(n, counts, CapReached(cap))
 
 
-def default_cap(n: int, p: float, c: float = 10.0, c0: int = 10) -> int:
-    """Safety cap of ceil(c * log n / log(np)) + c0 days; requires np > 1."""
+def default_cap(n: int, p: float) -> int:
+    """Safety cap of ceil(10 log n / log(np)) + 10 days; requires np > 1."""
     if n * p <= 1.0:
         raise ValueError(f"default_cap needs np > 1, got np={n * p}")
-    return math.ceil(c * math.log(n) / math.log(n * p)) + c0
+    return math.ceil(10.0 * math.log(n) / math.log(n * p)) + 10

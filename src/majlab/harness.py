@@ -336,26 +336,22 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         if pool is not None:
             pool.shutdown()
     if cfg.summary_path:
-        _write_summary(cfg.summary_path, out)
+        with open(cfg.summary_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(summary_rows(out))
     return SweepResult(out)
 
 
-_SUMMARY_COLUMNS = ["cell_id", "n", "p", "delta", "trials", "win1", "win2",
-                    "cycles", "cap_hits", "p_hat", "wilson_lo", "wilson_hi",
-                    "mean_days"]
-
-
-def _write_summary(path: str, cells: list[CellResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SUMMARY_COLUMNS)
-        for c in cells:
-            w.writerow([
-                c.cell_id, c.n, c.p,
-                "" if c.delta is None else c.delta, c.trials, c.wins1,
-                c.wins2, c.cycles, c.cap_hits, c.p_hat, c.wilson_lo,
-                c.wilson_hi, "" if c.mean_days is None else c.mean_days,
-            ])
+def summary_rows(cells: list[CellResult]) -> list[list]:
+    """The sweep summary table: the header, then one row per cell with ""
+    where the cell has no value."""
+    header = ["cell_id", "n", "p", "delta", "trials", "win1", "win2", "cycles",
+              "cap_hits", "p_hat", "wilson_lo", "wilson_hi", "mean_days"]
+    return [header] + [
+        ["" if x is None else x for x in (
+            c.cell_id, c.n, c.p, c.delta, c.trials, c.wins1, c.wins2,
+            c.cycles, c.cap_hits, c.p_hat, c.wilson_lo, c.wilson_hi,
+            c.mean_days)]
+        for c in cells]
 
 
 @dataclass

@@ -7,10 +7,10 @@ of neighbourhood masks (E = C(n,2)), built on first use, and runs a day of
 dynamics for all of them with a few `np.bitwise_count` calls; runs stop
 per configuration on unanimity or a period <= 2 repeat.  A configuration's
 weight depends only on its edge count, so a statistic's integer values are
-tallied into one histogram per edge count and an exact answer costs at most
-E + 1 Fraction products.  With a rational p every answer is an exact
-Fraction; with a float p the answer is a compensated float sum over the
-configurations.
+tallied into one histogram per edge count and an answer costs at most E + 1
+Fraction products.  Every answer is summed exactly at Fraction(p), which for
+a float p is its binary value: a rational p gets that exact Fraction, a
+float p gets it rounded once to the nearest float.
 
 The scalar kernels `rows_from_mask`, `step_mask`, `rhat_mask`,
 `s_sets_mask` and `mask_trajectory` work on one configuration; they are the
@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import UpdateRule, takes_color1
 from .fourier import config_weights, edge_list, fourier_coefficients
-from .stats import compute_mu, compute_mu_exact
+from .stats import compute_mu_exact, expected_biased_day1_count, is_exact
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 MAX_ORACLE_N = 6
+_MAX_VIOLATIONS = 20  # an identity scan lists at most this many violations
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +406,7 @@ class OracleQuery:
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.p, (Fraction, int))
+        return is_exact(self.p)
 
 
 @dataclass
@@ -439,7 +440,7 @@ class _Table:
     """A statistic over the cube: configuration k has value values[keys[k]]."""
 
     keys: np.ndarray                      # small non-negative ints
-    values: tuple                         # int, Fraction or float per key
+    values: tuple                         # int or Fraction per key
     capped: Optional[np.ndarray] = None   # WinProb: the run hit its cap
 
 
@@ -449,11 +450,9 @@ def _integer_table(keys: np.ndarray, capped: Optional[np.ndarray] = None) -> _Ta
     return _Table(keys, tuple(range(int(keys.max()) + 1)), capped)
 
 
-# oracle_vs_mc evaluates its query and then reads the same table.  `exact`
-# is part of the key because OracleQuery(.., Fraction(1, 2), ..) equals
-# OracleQuery(.., 0.5, ..) while their MomentZ tables differ.
+# oracle_vs_mc evaluates its query and then reads the same table.
 @functools.lru_cache(maxsize=1)
-def _mask_values(q: OracleQuery, exact: bool) -> _Table:
+def _mask_values(q: OracleQuery) -> _Table:
     """The queried statistic on every edge configuration."""
     n = q.n
     stat = q.statistic
@@ -473,12 +472,7 @@ def _mask_values(q: OracleQuery, exact: bool) -> _Table:
 
     if isinstance(stat, MomentZ):
         c1 = c1m.bit_count()
-        c2 = n - c1
-        if exact:
-            mu1, mu2 = compute_mu_exact(c1, c2, Fraction(q.p))
-        else:
-            mu1, mu2 = compute_mu(c1, c2, float(q.p))
-        center = n + mu1 * c1 - mu2 * c2
+        center = 2 * expected_biased_day1_count(c1, n - c1, Fraction(q.p))
         c11 = _integer_table(_popcount(cube.step(c1m, UpdateRule.BIASED)))
         return _Table(c11.keys, tuple((2 * c - center) ** stat.k
                                       for c in c11.values))
@@ -502,48 +496,35 @@ def _mask_values(q: OracleQuery, exact: bool) -> _Table:
 
 
 def _integrate(q: OracleQuery, table: _Table) -> OracleResult:
-    """Expectation of the table (variance for VarCount) under G(n, p)."""
+    """Expectation of the table (variance for VarCount) under G(n, p), summed
+    exactly at Fraction(q.p); a float p rounds it and cap_mass once."""
     cube = _cube(q.n)
-    var = isinstance(q.statistic, VarCount)
+    n_edges = cube.n_edges
+    weights = config_weights(Fraction(q.p), n_edges, range(n_edges + 1))
+    out = Fraction if q.exact else float
 
-    if q.exact:
-        n_edges = cube.n_edges
-        weights = config_weights(Fraction(q.p), n_edges, range(n_edges + 1))
+    def mean(keys: np.ndarray, values: Sequence) -> Fraction:
+        # configurations of one edge count share a weight
+        hist = np.bincount(cube.edges * len(values) + keys,
+                           minlength=(n_edges + 1) * len(values))
+        hist = hist.reshape(n_edges + 1, len(values)).tolist()
+        return sum(w * sum(c * v for c, v in zip(row, values) if c)
+                   for w, row in zip(weights, hist))
 
-        def mean(keys: np.ndarray, values: Sequence) -> Fraction:
-            # configurations of one edge count share a weight
-            hist = np.bincount(cube.edges * len(values) + keys,
-                               minlength=(n_edges + 1) * len(values))
-            hist = hist.reshape(n_edges + 1, len(values)).tolist()
-            return sum(w * sum(c * v for c, v in zip(row, values) if c)
-                       for w, row in zip(weights, hist))
-
-        total = mean(table.keys, table.values)
-        details = {"exact": True}
-        if table.capped is not None:
-            details["cap_mass"] = mean(table.capped.astype(np.int64), [0, 1])
-        if var:
-            sq = mean(table.keys, [v * v for v in table.values])
-            return OracleResult(sq - total * total, details)
-        return OracleResult(total, details)
-
-    w = config_weights(float(q.p), cube.n_edges, cube.edges)
-    v_arr = np.asarray([float(x) for x in table.values])[table.keys]
-    total = math.fsum(w * v_arr)
-    details = {"exact": False, "accumulation_terms": len(v_arr)}
+    total = mean(table.keys, table.values)
+    if isinstance(q.statistic, VarCount):
+        total = mean(table.keys, [v * v for v in table.values]) - total * total
+    details = {"exact": q.exact}
     if table.capped is not None:
-        details["cap_mass"] = math.fsum(w * table.capped.astype(float))
-    if var:
-        sq = math.fsum(w * v_arr * v_arr)
-        return OracleResult(sq - total * total, details)
-    return OracleResult(total, details)
+        details["cap_mass"] = out(mean(table.capped.astype(np.int64), [0, 1]))
+    return OracleResult(out(total), details)
 
 
 def oracle_eval(q: OracleQuery) -> OracleResult:
     """Integrate the queried statistic over every edge configuration.
 
-    Rational p gives an exact Fraction; float p gives a compensated float
-    with the accumulation scale reported in details.
+    Rational p gives an exact Fraction; a float p gives the exact answer at
+    its binary value, rounded once to a float.
     """
     if isinstance(q.statistic, FourierCoeff):
         table = fourier_coefficients(q.n, q.colors, q.statistic.v, q.p,
@@ -553,7 +534,7 @@ def oracle_eval(q: OracleQuery) -> OracleResult:
             "scaled": table.coefficient_scaled(list(q.statistic.s)),
             "exact": q.exact,
         })
-    return _integrate(q, _mask_values(q, q.exact))
+    return _integrate(q, _mask_values(q))
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +567,7 @@ def oracle_vs_mc(q: OracleQuery, trials: int,
     if isinstance(q.statistic, FourierCoeff):
         raise ValueError("Monte Carlo comparison is for graph statistics")
     oracle_value = float(oracle_eval(q).value)
-    values = _mask_values(q, q.exact)
+    values = _mask_values(q)
     table = np.asarray([float(x) for x in values.values])[values.keys]
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
     n_edges = q.n * (q.n - 1) // 2
@@ -627,8 +608,8 @@ class IdentityScan:
         return not self.violations
 
 
-def exhaustive_identity_scan(n: int, p: Union[Fraction, int] = Fraction(1, 3),
-                             max_violations: int = 20) -> IdentityScan:
+def exhaustive_identity_scan(n: int,
+                             p: Union[Fraction, int] = Fraction(1, 3)) -> IdentityScan:
     """Check the structural identities on every coloring and configuration.
 
     For all 2^n colorings and all 2^C(n,2) edge sets:
@@ -652,7 +633,7 @@ def exhaustive_identity_scan(n: int, p: Union[Fraction, int] = Fraction(1, 3),
     scan = IdentityScan(n, 0, 0, 0, 0, 0)
 
     def note(ok: np.ndarray, label: str, c1m: int, where: str = "") -> None:
-        room = max_violations - len(scan.violations)
+        room = _MAX_VIOLATIONS - len(scan.violations)
         for mask in np.flatnonzero(~ok)[:max(room, 0)]:
             scan.violations.append(
                 f"{label}: n={n} colors={c1m:0{n}b} mask={mask}{where}")
@@ -687,7 +668,7 @@ def exhaustive_identity_scan(n: int, p: Union[Fraction, int] = Fraction(1, 3),
             note(~apart | (lhs == rhs), "day2", c1m, f" uv=({u},{v})")
         if 0 < c1 < n:
             mu1, mu2 = compute_mu_exact(c1, c2, p)
-            center = n + mu1 * c1 - mu2 * c2
+            center = 2 * expected_biased_day1_count(c1, c2, p)
             signed_keeps = np.zeros(size, dtype=np.int64)
             for v in range(n):
                 scan.centering_checks += size

@@ -75,6 +75,11 @@ def delta_threshold(n: int, p: float,
     return DeltaThreshold(max(exp_branch, poly_branch), exp_branch, poly_branch)
 
 
+def is_exact(p) -> bool:
+    """A rational p (Fraction or int) asks for exact Fraction arithmetic."""
+    return isinstance(p, (Fraction, int))
+
+
 def _check_sizes(c1: int, c2: int) -> None:
     if c1 < 1 or c2 < 1:
         raise ValueError(f"both classes must be nonempty, got c1={c1}, c2={c2}")
@@ -109,10 +114,11 @@ def compute_mu_exact(c1: int, c2: int, p: Union[Fraction, int]) -> tuple[Fractio
     return mu1, mu2
 
 
-def expected_biased_day1_count(c1: int, c2: int, p, exact: bool = False):
-    """E|C_{1,1}| for the biased rule, = (n + mu1*c1 - mu2*c2) / 2."""
-    if exact:
-        mu1, mu2 = compute_mu_exact(c1, c2, Fraction(p))
+def expected_biased_day1_count(c1: int, c2: int, p):
+    """E|C_{1,1}| for the biased rule, = (n + mu1*c1 - mu2*c2) / 2; a
+    Fraction for a rational p, a float otherwise."""
+    if is_exact(p):
+        mu1, mu2 = compute_mu_exact(c1, c2, p)
         return Fraction(c1 + c2 + mu1 * c1 - mu2 * c2, 2)
     mu1, mu2 = compute_mu(c1, c2, p)
     return (c1 + c2 + mu1 * c1 - mu2 * c2) / 2.0
@@ -138,11 +144,12 @@ def _centered(g: ColoredGraph, mu1, mu2) -> tuple[np.ndarray, np.ndarray,
     return kept, z_values, z if isinstance(z, Fraction) else float(z)
 
 
-def centered_indicators(g: ColoredGraph, p, exact: bool = False) -> CenteredIndicators:
-    """Per-vertex Z_v and the aggregate Z = sum_v L(v) Z_v for one graph."""
+def centered_indicators(g: ColoredGraph, p) -> CenteredIndicators:
+    """Per-vertex Z_v and the aggregate Z = sum_v L(v) Z_v for one graph;
+    exact Fractions, with Z_v a list, for a rational p."""
     c1, c2 = g.counts()
-    mu1, mu2 = (compute_mu_exact(c1, c2, Fraction(p)) if exact
-                else compute_mu(c1, c2, p))
+    exact = is_exact(p)
+    mu1, mu2 = (compute_mu_exact if exact else compute_mu)(c1, c2, p)
     kept, z_values, z = _centered(g, mu1, mu2)
     return CenteredIndicators(mu1, mu2, z_values.tolist() if exact else z_values,
                               z, kept)
@@ -224,6 +231,7 @@ LEMMA_ANCHORS: dict[str, str] = {
 
 _LOG_HUGE_A = 3.0e6     # ln n needed by the day-1/day-2 moment bounds
 _LOG_HUGE_B = 6.0e13    # ln n needed by the day-2 expectation chain
+_B_CONST = 1.0 / 3.0    # day-3 target: at most b*n vertices of color 2
 
 
 @dataclass
@@ -332,14 +340,15 @@ def _gather_trial_quantities(n: int, p: float, delta, trials: int,
 
 
 def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
-                 k: int = 2, d_const: float = 1.0, dd_const: float = 1.0,
-                 b_const: float = 1.0 / 3.0) -> LemmaReport:
+                 k: int = 2, d_const: float = 1.0, dd_const: float = 1.0) -> LemmaReport:
     """Estimate every tracked quantity and tabulate it against its bound.
 
     n <= 6 uses exhaustive enumeration with exact weights (mode 'exact');
     larger n uses trials Monte Carlo samples.  Bounds whose hypotheses hold
-    only at astronomically large n are present but never asserted.
+    only at astronomically large n are present but never asserted.  The
+    report is in floats: a Fraction p is converted on entry.
     """
+    p = float(p)
     if trials < 100:
         raise ValueError("trials must be at least 100")
     scheme = FixedGap.from_delta(delta)
@@ -382,8 +391,7 @@ def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
     desk_p = _desk_p_range(n, p)
     delta_window = 1 <= delta_f <= 10 / p
 
-    mu1, mu2 = compute_mu(c1, c2, p)
-    e_c11_biased = (n + mu1 * c1 - mu2 * c2) / 2.0
+    e_c11_biased = expected_biased_day1_count(c1, c2, p)
 
     records: list[LemmaRecord] = []
 
@@ -461,7 +469,8 @@ def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
          "reference_constant": 1.0})
 
     gap_thresh = n / 2 - 4e-12 * p * n * delta_f
-    chebyshev_ref = 1.0 - (1.0 / (p * delta_f**2) + 1.0 / (n * p**3 * delta_f**2))
+    chebyshev_ref = (1.0 - (1.0 / (p * delta_f**2) + 1.0 / (n * p**3 * delta_f**2))
+                     if delta_f else -math.inf)  # its limit as delta -> 0
     add("day2_gap_probability", mean(n - cols["c12"] <= gap_thresh),
         max(0.0, chebyshev_ref), ">=", desk_p and delta_window and huge_b,
         False, {"reference_constant": 1.0})
@@ -469,14 +478,14 @@ def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
     # day 3 contraction and final win time
     a_const = 4e-12 * p**1.5 * math.sqrt(n) * delta_f
     shrink2 = (n - cols["c12"]) <= n / 2 - a_const * n / math.sqrt(p * n)
-    day3_ok = cond_mean((cols["c23"] <= b_const * n).astype(float), shrink2)
+    day3_ok = cond_mean((cols["c23"] <= _B_CONST * n).astype(float), shrink2)
     add("day3_contraction", day3_ok, 1.0, ">=",
-        b_const * a_const**2 > 1.5 * math.log(2), False,
-        {"a": a_const, "b": b_const, "b_a_sq": b_const * a_const**2,
+        _B_CONST * a_const**2 > 1.5 * math.log(2), False,
+        {"a": a_const, "b": _B_CONST, "b_a_sq": _B_CONST * a_const**2,
          "cond_frac": float((weights * shrink2).sum())})
 
     lam = p * n / math.log(n) - 1.0
-    small2 = (n - cols["c12"]) <= b_const * n
+    small2 = (n - cols["c12"]) <= _B_CONST * n
     win_rate = cond_mean(cols["win1"], small2)
     add("final_win_time", win_rate,
         max(0.0, 1.0 - 2.0 * n ** (-lam / 2) if lam > 0 else 0.0), ">=",

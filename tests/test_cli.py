@@ -129,6 +129,20 @@ def test_sweep_with_config_file(tmp_path, capsys):
     assert json.loads(results2.read_text().strip())["trials"] == 25
 
 
+def test_sweep_csv_stdout_matches_summary_file(tmp_path, capsys):
+    summary = tmp_path / "summary.csv"
+    for extra in (["--delta", "0,2"], ["--scheme", "random-half"]):
+        code = run_cli(["sweep", "--n", "20", "--p", "0.3", "--trials", "30",
+                        "--seed", "4", "--format", "csv",
+                        "--summary", str(summary)] + extra)
+        assert code == 0
+        stdout = capsys.readouterr().out
+        written = summary.read_bytes().decode()
+        assert stdout.endswith("\n") and "\r" not in stdout
+        assert written.endswith("\r\n")
+        assert stdout.split("\n") == written.split("\r\n")
+
+
 def test_scan_subcommand(capsys):
     code = run_cli(["scan", "--n", "20", "--p", "0.9999", "--trials", "60",
                     "--target", "0.8", "--seed", "2"])
@@ -147,6 +161,10 @@ def test_report_lemmas(tmp_path, capsys):
     assert len(payload["records"]) == 22
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 22
+    # a zero gap is a valid FixedGap coloring
+    code = run_cli(["report", "lemmas", "--n", "60", "--p", "0.2",
+                    "--delta", "0", "--trials", "100", "--seed", "9"])
+    assert code == 0
 
 
 def test_invalid_arguments_exit_2():

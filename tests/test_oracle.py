@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -233,8 +234,14 @@ def test_golden_values():
     for rec in data:
         q = OracleQuery(rec["n"], Fraction(rec["p"]), tuple(rec["colors"]),
                         stats[rec["stat"]](rec))
-        got = oracle_eval(q).value
-        assert got == Fraction(rec["value"]), rec
+        want = Fraction(rec["value"])
+        assert oracle_eval(q).value == want, rec
+        # a float p is summed exactly at its binary value and rounded once
+        float_p = float(Fraction(rec["p"]))
+        got = oracle_eval(dataclasses.replace(q, p=float_p)).value
+        at_binary_p = oracle_eval(dataclasses.replace(q, p=Fraction(float_p)))
+        assert type(got) is float and got == float(at_binary_p.value), rec
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**14) * abs(want), rec
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +405,9 @@ def test_cube_statistics_match_scalar_reference():
                     else:
                         assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), \
                             (n, colors, stat, got, want)
+                        exact = oracle_eval(OracleQuery(n, Fraction(p), colors,
+                                                        stat)).value
+                        assert got == float(exact), (n, colors, stat)
 
 
 def _scalar_trial_quantities(n, c1, p, cap):

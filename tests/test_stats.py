@@ -95,7 +95,7 @@ def test_mu_bounds_and_errors():
 
 def test_centered_indicators_signs_and_aggregate():
     g = sample_gnp(GraphParams(12, 0.4, 3), FixedGap.from_delta(2))
-    ci = centered_indicators(g, Fraction(2, 5), exact=True)
+    ci = centered_indicators(g, Fraction(2, 5))
     c1, c2 = g.counts()
     day1 = step(g, UpdateRule.BIASED)
     for v in range(g.n):
@@ -103,7 +103,7 @@ def test_centered_indicators_signs_and_aggregate():
         assert z_plus_mu in (-1, 1)
         assert (z_plus_mu == 1) == (day1.colors[v] == g.colors[v])
     c11 = int((day1.colors == 1).sum())
-    expect = expected_biased_day1_count(c1, c2, Fraction(2, 5), exact=True)
+    expect = expected_biased_day1_count(c1, c2, Fraction(2, 5))
     assert ci.z == 2 * c11 - 2 * expect
 
 
@@ -174,6 +174,21 @@ def test_lemma_report_exact_mode():
     ident = rep.record("ig_mean_identity")
     assert ident.satisfied and ident.asserted
     assert rep.record("moment_growth").extra["ratio"] is not None
+
+
+def test_lemma_report_zero_gap():
+    # FixedGap accepts delta = 0; the day-2 gap reference takes its limit 0
+    for n, p, mode in ((4, 1 / 3, "exact"), (40, 0.3, "mc")):
+        rep = lemma_report(n, p, 0, trials=100, master_seed=3)
+        gap = rep.record("day2_gap_probability")
+        assert rep.mode == mode and rep.delta == 0
+        assert gap.rhs == 0.0 and gap.satisfied
+
+
+def test_lemma_report_fraction_p():
+    rep = lemma_report(6, Fraction(1, 3), 1, trials=100)
+    assert rep.to_json_dict() == lemma_report(6, 1 / 3, 1, trials=100).to_json_dict()
+    assert type(rep.p) is float
 
 
 def test_lemma_report_validation():

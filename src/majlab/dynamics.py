@@ -8,10 +8,11 @@ previous day:
 * biased rule: take color 1 if d1 >= d2, color 2 if d1 <= d2 - 2, keep the
   current color only at d1 = d2 - 1.
 
-`keep_margin` is the one place these thresholds are written.
-`takes_color1` applies them, and the simulator, the exact oracle, the
-structural sets and the Fourier keep indicators all call it; the day-1
-centering constants `stats.compute_mu`/`compute_mu_exact` read the margin.
+`margins` is the one computation of a graph's d1 - d2, for the simulator and
+the structural sets.  `keep_margin` writes the thresholds and `takes_color1`
+is the one threshold, called by the simulator, the exact oracle, the
+structural sets and the Fourier keep indicators; `stats.compute_mu` and
+`compute_mu_exact` read the keep margin.
 
 Synchronous runs are eventually periodic with period at most 2, so a run
 terminates on unanimity, on a repeat of the state one or two days back, or
@@ -24,11 +25,11 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import TextIO, Union
 
 import numpy as np
 
-from .graphs import ColoredGraph, popcount_rows
+from .graphs import ColoredGraph, pack_color_mask, popcount_rows
 
 __all__ = [
     "UpdateRule",
@@ -38,6 +39,7 @@ __all__ = [
     "DynamicsTrace",
     "keep_margin",
     "takes_color1",
+    "margins",
     "step",
     "run",
     "default_cap",
@@ -122,11 +124,15 @@ def takes_color1(margin, color1, rule: UpdateRule):
     return (margin > keep) | ((margin == keep) & color1)
 
 
+def margins(g: ColoredGraph, color1_words: np.ndarray) -> np.ndarray:
+    """d1 - d2 of every vertex when color1_words packs the color-1 vertices."""
+    return 2 * popcount_rows(g.adj & color1_words[None, :]) - g.degrees
+
+
 def step(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD) -> ColoredGraph:
     """One synchronous day.  The input is untouched; adjacency is shared."""
-    margin = 2 * popcount_rows(g.adj & g.color1_words[None, :]) - g.degrees
-    new1 = takes_color1(margin, g.colors == 1, rule)
-    return g.with_colors(np.where(new1, 1, 2).astype(np.int8))
+    return g.with_colors(np.where(takes_color1(
+        margins(g, g.color1_words), g.colors == 1, rule), 1, 2).astype(np.int8))
 
 
 def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,
@@ -135,26 +141,22 @@ def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,
     if cap < 1:
         raise ValueError("cap must be at least 1")
     n = g.n
+    color1 = g.colors == 1
+    # packed color-1 words of this day, the day before and the one before that
+    words, last, before = g.color1_words, None, None
     counts = []
-    cur = g
-    cur_mask = g.color1_words.copy()
-    prev_mask: Optional[np.ndarray] = None
-    c1 = int((g.colors == 1).sum())
-    counts.append((0, c1))
-    if c1 in (0, n):
-        return DynamicsTrace(n, counts, Unanimity(1 if c1 == n else 2, 0))
-    for day in range(1, cap + 1):
-        cur = step(cur, rule)
-        new_mask = cur.color1_words
-        c1 = int((cur.colors == 1).sum())
+    for day in range(cap + 1):
+        if day:
+            color1 = takes_color1(margins(g, words), color1, rule)
+            words, last, before = pack_color_mask(color1), words, last
+        c1 = int(np.count_nonzero(color1))
         counts.append((day, c1))
         if c1 in (0, n):
             return DynamicsTrace(n, counts, Unanimity(1 if c1 == n else 2, day))
-        if np.array_equal(new_mask, cur_mask):
+        if last is not None and np.array_equal(words, last):
             return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 1, period=1))
-        if prev_mask is not None and np.array_equal(new_mask, prev_mask):
+        if before is not None and np.array_equal(words, before):
             return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 2, period=2))
-        prev_mask, cur_mask = cur_mask, new_mask
     return DynamicsTrace(n, counts, CapReached(cap))
 
 

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -124,8 +125,8 @@ def _one_trial(n: int, p: float, scheme: ColoringScheme, rule: UpdateRule,
                trial_index: int) -> tuple[int, int, int, int, int]:
     seed = split_seed(master_seed, cell_index, trial_index)
     g = sample_gnp(GraphParams(n, p, seed), scheme)
-    c1_0 = int((g.colors == 1).sum())
     tr = run(g, rule, cap)
+    c1_0 = tr.counts[0][1]
     t = tr.termination
     if isinstance(t, Unanimity):
         return trial_index, _WIN, t.winner, t.day, c1_0
@@ -234,6 +235,11 @@ def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool,
     return _aggregate(cell, outcomes, track_majority)
 
 
+def _pool(workers: int):
+    """A process pool of `workers` for a `with` block, or None at workers = 1."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
 class ForeignResultsError(ValueError):
     """A results file that another sweep configuration (or no manifest) wrote."""
 
@@ -317,10 +323,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     track_majority = cfg.scheme is not None and not isinstance(cfg.scheme, FixedGap)
 
     out: list[CellResult] = []
-    pool = None
-    try:
-        if cfg.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=cfg.workers)
+    with _pool(cfg.workers) as pool:
         for cell in cells:
             if cell.index in completed:
                 rec = completed[cell.index]
@@ -332,9 +335,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
             if results_path is not None:
                 with results_path.open("a") as fh:
                     fh.write(json.dumps(res.to_record(), sort_keys=True) + "\n")
-    finally:
-        if pool is not None:
-            pool.shutdown()
     if cfg.summary_path:
         with open(cfg.summary_path, "w", newline="") as fh:
             csv.writer(fh).writerows(summary_rows(out))
@@ -370,17 +370,6 @@ class ScanResult:
     widened: bool
 
 
-def _scan_eval(n: int, p: float, twice_delta: int, rule: UpdateRule,
-               trials: int, master_seed: int, workers: int) -> dict:
-    cfg = ExperimentConfig(
-        n_values=(n,), p_values=(p,),
-        delta_values=(twice_delta / 2,), rule=rule, trials=trials,
-        master_seed=split_seed(master_seed, twice_delta), workers=workers)
-    cell = run_sweep(cfg).cells[0]
-    return {"wins1": cell.wins1, "trials": cell.trials,
-            "wilson_lo": cell.wilson_lo, "p_hat": cell.p_hat}
-
-
 def threshold_scan(n: int, p: float, rule: UpdateRule, trials: int,
                    target_prob: float, master_seed: int = 0,
                    workers: int = 1) -> ScanResult:
@@ -393,29 +382,36 @@ def threshold_scan(n: int, p: float, rule: UpdateRule, trials: int,
     td_max = n       # monochromatic start
     evals: dict[int, dict] = {}
 
-    def ev(td: int) -> bool:
-        if td not in evals:
-            evals[td] = _scan_eval(n, p, td, rule, trials, master_seed, workers)
-        return evals[td]["wilson_lo"] >= target_prob
+    with _pool(workers) as pool:
+        def ev(td: int) -> bool:
+            if td not in evals:
+                cfg = ExperimentConfig(
+                    n_values=(n,), p_values=(p,), delta_values=(td / 2,),
+                    rule=rule, trials=trials,
+                    master_seed=split_seed(master_seed, td), workers=workers)
+                cell = _execute_cell(cfg.cells()[0], cfg, pool, False)
+                evals[td] = {"wins1": cell.wins1, "trials": cell.trials,
+                             "wilson_lo": cell.wilson_lo, "p_hat": cell.p_hat}
+            return evals[td]["wilson_lo"] >= target_prob
 
-    hi_ok = ev(td_max)
-    lo_ok = ev(td_min)
-    if lo_ok:
-        lo, hi = td_min, td_min
-    elif not hi_ok:
-        lo, hi = td_min, td_max  # nothing certified; full-range bracket
-    else:
-        lo, hi = td_min, td_max
-        while hi - lo > 2:
-            mid = lo + (hi - lo) // 2
-            if (mid - parity) % 2:
-                mid += 1
-            if mid <= lo or mid >= hi:
-                break
-            if ev(mid):
-                hi = mid
-            else:
-                lo = mid
+        hi_ok = ev(td_max)
+        lo_ok = ev(td_min)
+        if lo_ok:
+            lo, hi = td_min, td_min
+        elif not hi_ok:
+            lo, hi = td_min, td_max  # nothing certified; full-range bracket
+        else:
+            lo, hi = td_min, td_max
+            while hi - lo > 2:
+                mid = lo + (hi - lo) // 2
+                if (mid - parity) % 2:
+                    mid += 1
+                if mid <= lo or mid >= hi:
+                    break
+                if ev(mid):
+                    hi = mid
+                else:
+                    lo = mid
 
     successes = {td for td in evals if evals[td]["wilson_lo"] >= target_prob}
     failures = set(evals) - successes

@@ -403,6 +403,8 @@ class OracleQuery:
             raise ValueError("colors must have one entry per vertex")
         if any(c not in (1, 2) for c in self.colors):
             raise ValueError("colors must be 1 or 2")
+        if not 0 <= self.p <= 1:  # NaN fails too
+            raise ValueError(f"p must lie in [0,1], got {self.p}")
 
     @property
     def exact(self) -> bool:

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import UpdateRule, step, takes_color1
-from .graphs import ColoredGraph, popcount_rows, unpack_row
+from .dynamics import UpdateRule, margins, step, takes_color1
+from .graphs import ColoredGraph, unpack_row
 
 __all__ = [
     "StructuralReport",
@@ -57,11 +57,6 @@ class StructuralReport:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
-def _degree_splits(g: ColoredGraph) -> tuple[np.ndarray, np.ndarray]:
-    d1 = popcount_rows(g.adj & g.color1_words[None, :])
-    return d1, g.degrees - d1
-
-
 def compute_r_hat(g: ColoredGraph, w: int) -> np.ndarray:
     """Vertices u != w with d1 + L(w) >= d2 (color-1 u) or > d2 (color-2 u),
     where the splits are taken in G - w and L(w) is +1/-1 for w color 1/2.
@@ -70,13 +65,11 @@ def compute_r_hat(g: ColoredGraph, w: int) -> np.ndarray:
     """
     if not 0 <= w < g.n:
         raise ValueError(f"vertex {w} out of range for n={g.n}")
-    d1, d2 = _degree_splits(g)
     ew = unpack_row(g.adj[w], g.n)
-    w_color1 = g.colors[w] == 1
-    d1p = d1 - (ew & w_color1)
-    d2p = d2 - (ew & ~w_color1)
-    lw = 1 if w_color1 else -1
-    member = takes_color1(d1p + lw - d2p, g.colors == 1, UpdateRule.STANDARD)
+    lw = 1 if g.colors[w] == 1 else -1
+    # the margin in G - w is m - L(w) e_w; then w's own vote L(w) is added
+    member = takes_color1(margins(g, g.color1_words) + lw * (1 - ew),
+                          g.colors == 1, UpdateRule.STANDARD)
     member[w] = False
     return np.flatnonzero(member)
 
@@ -92,10 +85,9 @@ def compute_s_sets(g: ColoredGraph, u: int, v: int) -> StructuralReport:
         raise ValueError("focal vertices must be distinct")
     if g.colors[u] != 1 or g.colors[v] != 1:
         raise ValueError("both focal vertices must have color 1")
-    d1, d2 = _degree_splits(g)
     eu = unpack_row(g.adj[u], g.n)
     ev = unpack_row(g.adj[v], g.n)
-    gap = (d1 - eu.astype(np.int64) - ev.astype(np.int64)) - d2
+    gap = margins(g, g.color1_words) - eu - ev
     is_c1 = g.colors == 1
     rest = np.ones(g.n, dtype=bool)
     rest[[u, v]] = False

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from majlab.graphs import ColoredGraph
-from majlab.dynamics import UpdateRule
+from majlab.dynamics import (CapReached, DynamicsTrace, TwoCycle, Unanimity,
+                             UpdateRule, step)
 
 
 def naive_step(n: int, edges: set[frozenset], colors: list[int],
@@ -42,6 +43,34 @@ def naive_step(n: int, edges: set[frozenset], colors: list[int],
             else:
                 out.append(colors[v])
     return out
+
+
+def graph_per_day_run(g: ColoredGraph, rule: UpdateRule,
+                      cap: int) -> DynamicsTrace:
+    """The run loop that steps whole graphs: every day is a new ColoredGraph
+    from `step`, and repeats are found on its packed color-1 words."""
+    n = g.n
+    counts = []
+    cur = g
+    cur_mask = g.color1_words.copy()
+    prev_mask = None
+    c1 = int((g.colors == 1).sum())
+    counts.append((0, c1))
+    if c1 in (0, n):
+        return DynamicsTrace(n, counts, Unanimity(1 if c1 == n else 2, 0))
+    for day in range(1, cap + 1):
+        cur = step(cur, rule)
+        new_mask = cur.color1_words
+        c1 = int((cur.colors == 1).sum())
+        counts.append((day, c1))
+        if c1 in (0, n):
+            return DynamicsTrace(n, counts, Unanimity(1 if c1 == n else 2, day))
+        if np.array_equal(new_mask, cur_mask):
+            return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 1, period=1))
+        if prev_mask is not None and np.array_equal(new_mask, prev_mask):
+            return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 2, period=2))
+        prev_mask, cur_mask = cur_mask, new_mask
+    return DynamicsTrace(n, counts, CapReached(cap))
 
 
 def random_colored_graph(rng: np.random.Generator, n: int,

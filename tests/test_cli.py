@@ -63,6 +63,14 @@ def test_oracle_setstat(capsys):
     assert capsys.readouterr().out.strip().split("\n")[0] == "4/3"
 
 
+def test_oracle_rejects_p_above_one(capsys):
+    code = run_cli(["oracle", "--n", "3", "--colors", "112", "--stat",
+                    "winprob", "--p", "3/2"])
+    assert code == 1
+    io = capsys.readouterr()
+    assert io.out == "" and "p must lie in [0,1]" in io.err
+
+
 def test_sets_subcommand(tmp_path, capsys):
     code = run_cli(["sets", "--n", "30", "--p", "0.2", "--delta", "2",
                     "--seed", "4", "--w", "0"])

@@ -6,9 +6,11 @@ import pytest
 
 from majlab.dynamics import (CapReached, TwoCycle, Unanimity, UpdateRule,
                              default_cap, run, step)
-from majlab.graphs import ColoredGraph, GraphParams, RandomHalf, sample_gnp
+from majlab import dynamics
+from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, RandomHalf,
+                           sample_gnp)
 
-from conftest import naive_step, random_colored_graph
+from conftest import graph_per_day_run, naive_step, random_colored_graph
 
 
 def test_k3_majority_step():
@@ -88,6 +90,43 @@ def test_bit_parallel_matches_naive(rng):
             expect = naive_step(n, edges, colors, rule)
             got = step(g, rule).colors.tolist()
             assert got == expect, (n, rule, colors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_run_matches_graph_per_day_reference(n, p):
+    schemes = [FixedGap(td) for td in (n % 2, n % 2 + 2) if td <= n]
+    schemes.append(RandomHalf())
+    caps = [1, 2] + ([default_cap(n, p)] if n * p > 1 else [])
+    for scheme in schemes:
+        for seed in range(4):
+            g = sample_gnp(GraphParams(n, p, 100 * n + seed), scheme)
+            for rule in (UpdateRule.STANDARD, UpdateRule.BIASED):
+                for cap in caps:
+                    got, want = run(g, rule, cap), graph_per_day_run(g, rule, cap)
+                    assert got.counts == want.counts, (scheme, seed, rule, cap)
+                    assert got.termination == want.termination, \
+                        (scheme, seed, rule, cap)
+
+
+def test_run_builds_no_graph_and_calls_no_step(monkeypatch):
+    g = sample_gnp(GraphParams(200, 0.05, 8), FixedGap(2))
+    made, stepped = [], []
+    real_init, real_step = ColoredGraph.__init__, dynamics.step
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counting_step(*args, **kwargs):
+        stepped.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(ColoredGraph, "__init__", counting_init)
+    monkeypatch.setattr(dynamics, "step", counting_step)
+    tr = dynamics.run(g, UpdateRule.STANDARD, 50)
+    assert tr.days_run >= 2
+    assert made == [] and stepped == []
 
 
 def test_synchronicity_against_snapshot_reference(rng):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from majlab import harness
 from majlab.dynamics import UpdateRule, run
 from majlab.graphs import (FixedGap, GraphParams, RandomBiased,
                            RandomHalf, sample_gnp)
@@ -235,6 +236,22 @@ def test_threshold_scan_symmetric_start_excludes_zero():
     assert res.delta_hi > 0.0
     assert res.evaluations[0.0]["wilson_lo"] < 0.8
     assert not res.widened
+
+
+def test_threshold_scan_opens_one_pool(monkeypatch):
+    opened = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    args = (40, 0.3, UpdateRule.STANDARD, 60, 0.8, 2)
+    pooled = threshold_scan(*args, workers=2)
+    assert len(opened) == 1 and len(pooled.evaluations) > 2
+    assert threshold_scan(*args, workers=1) == pooled
+    assert len(opened) == 1
 
 
 def test_threshold_scan_validation():

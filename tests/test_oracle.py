@@ -205,6 +205,20 @@ def test_query_validation():
         oracle_eval(OracleQuery(3, Fraction(1, 2), (1, 1, 2), MomentZ(k=2))).value
 
 
+@pytest.mark.parametrize("p, stat", [
+    (1.5, WinProb()), (Fraction(-1, 2), ExpectedCount(day=1)),
+    (math.nan, WinProb())])
+def test_query_rejects_p_outside_unit_interval(p, stat):
+    with pytest.raises(ValueError, match="p must lie in"):
+        OracleQuery(3, p, (1, 1, 2), stat)
+
+
+def test_query_accepts_p_zero_and_one():
+    # no edges: a fixed point; the triangle: the majority wins on day 1
+    for p, value in ((0, 0), (0.0, 0.0), (1, 1), (Fraction(1), 1), (1.0, 1.0)):
+        assert oracle_eval(OracleQuery(3, p, (1, 1, 2), WinProb())).value == value
+
+
 def test_oracle_vs_mc_smoke():
     q = OracleQuery(5, 0.5, (1, 1, 1, 2, 2), WinProb(color=1))
     ag = oracle_vs_mc(q, 20_000, master_seed=9)

@@ -7,6 +7,7 @@ from scipy import stats as spstats
 
 from majlab.dynamics import UpdateRule, step
 from majlab.graphs import ColoredGraph, FixedGap, GraphParams, sample_gnp
+from majlab.oracle import rhat_mask, s_sets_mask
 from majlab.probability import binom_pmf
 from majlab.structure import (check_day2_identity, compute_r_hat,
                               compute_s_sets, day2_identity_sides)
@@ -59,6 +60,35 @@ def test_rhat_ignores_edges_at_w(rng):
             rewired = set(np.flatnonzero(rng.random(12) < 0.5).tolist()) - {w}
             h = _with_edges_at(g, w, rewired)
             assert compute_r_hat(h, w).tolist() == base
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_sets_match_scalar_kernels_at_word_boundaries(rng, n):
+    # rows and the color-1 mask are Python ints built from the edge set, so
+    # the scalar kernels share nothing with the packed words
+    stars = 0
+    for p in (0.05, 0.2, 0.5):
+        for _ in range(4):
+            g, edges, colors = random_colored_graph(rng, n, p)
+            rows = [sum(1 << u for u in range(n) if frozenset((u, v)) in edges)
+                    for v in range(n)]
+            c1m = sum(1 << v for v in range(n) if colors[v] == 1)
+            for w in range(n):
+                assert compute_r_hat(g, w).tolist() == \
+                    _bits(rhat_mask(n, rows, c1m, w))
+            ones = _bits(c1m)
+            for u, v in [(ones[0], ones[1]), (ones[-2], ones[-1]),
+                         tuple(rng.choice(ones, 2, replace=False).tolist())]:
+                rep = compute_s_sets(g, u, v)
+                s1, s2, ss, ig = s_sets_mask(n, rows, c1m, u, v)
+                assert (list(rep.s1), list(rep.s2), list(rep.s_star), rep.i_g) \
+                    == (_bits(s1), _bits(s2), _bits(ss), ig)
+                stars += len(rep.s_star)
+    assert stars > 0
 
 
 def test_s_sets_partition(rng):

@@ -131,8 +131,8 @@ def margins(g: ColoredGraph, color1_words: np.ndarray) -> np.ndarray:
 
 def step(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD) -> ColoredGraph:
     """One synchronous day.  The input is untouched; adjacency is shared."""
-    return g.with_colors(np.where(takes_color1(
-        margins(g, g.color1_words), g.colors == 1, rule), 1, 2).astype(np.int8))
+    new1 = takes_color1(margins(g, g.color1_words), g.colors == 1, rule)
+    return g.with_colors(np.where(new1, 1, 2).astype(np.int8))
 
 
 def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,

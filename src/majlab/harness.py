@@ -389,7 +389,8 @@ def threshold_scan(n: int, p: float, rule: UpdateRule, trials: int,
                     n_values=(n,), p_values=(p,), delta_values=(td / 2,),
                     rule=rule, trials=trials,
                     master_seed=split_seed(master_seed, td), workers=workers)
-                cell = _execute_cell(cfg.cells()[0], cfg, pool, False)
+                cell = _execute_cell(cfg.cells()[0], cfg, pool,
+                                     track_majority=False)
                 evals[td] = {"wins1": cell.wins1, "trials": cell.trials,
                              "wilson_lo": cell.wilson_lo, "p_hat": cell.p_hat}
             return evals[td]["wilson_lo"] >= target_prob

@@ -106,16 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Majority dynamics on G(n,p): simulation, exact small-n "
                     "oracle, structural sets, and verification reports.")
     ap.add_argument("--version", action="version", version=f"majlab {__version__}")
-    subactions = ap.add_subparsers(dest="command", required=True)
-    ap._majlab_subparsers = {}
-
-    class _Sub:
-        def add_parser(self, name, **kw):
-            sp = subactions.add_parser(name, **kw)
-            ap._majlab_subparsers[name] = sp
-            return sp
-
-    sub = _Sub()
+    sub = ap.add_subparsers(dest="command", required=True)
+    ap._majlab_subparsers = sub.choices
 
     sp = sub.add_parser("simulate", help="run one trajectory, write its trace")
     sp.add_argument("--n", type=int, required=True)

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import UpdateRule, takes_color1
-from .stats import compute_mu, compute_mu_exact
+from .stats import compute_mu
 
 __all__ = ["FourierTable", "fourier_coefficients", "edge_list", "config_weights"]
 
@@ -248,7 +248,7 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
     q = Fraction(p) if exact else float(p)
     if not 0 < q < 1:
         raise ValueError(f"p must lie in (0,1), got {p}")
-    mu1, mu2 = compute_mu_exact(c1, c2, q) if exact else compute_mu(c1, c2, q)
+    mu1, mu2 = compute_mu(c1, c2, q)
     mu_v = mu1 if colors[v] == 1 else mu2
     a = (config_weights(q, n_edges, _set_sizes(n_edges))
          * _z_powers(m, colors, v, mu_v, power))

@@ -4,13 +4,17 @@ are integrated over all 2^C(n,2) edge configurations with exact weights.
 Graphs are edge bitmasks in lexicographic pair order.  The engine holds
 every configuration of an n-vertex graph at once as a (2^E, n) uint8 cube
 of neighbourhood masks (E = C(n,2)), built on first use, and runs a day of
-dynamics for all of them with a few `np.bitwise_count` calls; runs stop
-per configuration on unanimity or a period <= 2 repeat.  A configuration's
-weight depends only on its edge count, so a statistic's integer values are
-tallied into one histogram per edge count and an answer costs at most E + 1
-Fraction products.  Every answer is summed exactly at Fraction(p), which for
-a float p is its binary value: a rational p gets that exact Fraction, a
-float p gets it rounded once to the nearest float.
+dynamics for all of them with a few `np.bitwise_count` calls.  A run keeps
+only each configuration's winner, day of unanimity and cap hit; a day-d
+count steps the cube d days.  r-hat and the s-sets are
+`structure.rhat_flags` and `s_sets_flags` called on the whole cube, the
+same kernels `compute_r_hat` and `compute_s_sets` call on one graph.
+
+A configuration's weight depends only on its edge count, so a statistic's
+integer values are tallied into one histogram per edge count and an answer
+costs at most E + 1 Fraction products.  Every answer is summed exactly at
+Fraction(p), which for a float p is its binary value: a rational p gets
+that exact Fraction, a float p gets it rounded once to the nearest float.
 
 The scalar kernels `rows_from_mask`, `step_mask`, `rhat_mask`,
 `s_sets_mask` and `mask_trajectory` work on one configuration; they are the
@@ -31,6 +35,7 @@ import numpy as np
 from .dynamics import UpdateRule, takes_color1
 from .fourier import config_weights, edge_list, fourier_coefficients
 from .stats import compute_mu_exact, expected_biased_day1_count, is_exact
+from .structure import rhat_flags, s_sets_flags
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -189,9 +194,6 @@ def s_sets_mask(n: int, rows: Sequence[int], c1mask: int, u: int,
 # ----------------------------------------------------------------------
 # the configuration cube: every edge configuration at once
 
-_UNANIMITY, _CYCLE, _CAP = 0, 1, 2
-
-
 def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).astype(np.int8)
 
@@ -201,7 +203,8 @@ class _Cube:
 
     Row k of `rows` holds the n adjacency masks of edge bitmask k and
     `edges[k]` its edge count.  Vertex sets are uint8 masks (n <= 8), one
-    per configuration, or one int shared by all of them.
+    per configuration, or one int shared by all of them.  Margins stay in
+    int8, so no (2^E, n) array is promoted to a wider type.
     """
 
     def __init__(self, n: int):
@@ -217,7 +220,11 @@ class _Cube:
         self.degrees = _popcount(rows)
         self.edges = np.bitwise_count(configs).astype(np.int64)
         self.vertex_bits = np.uint8(1) << np.arange(n, dtype=np.uint8)
-        for a in (self.rows, self.degrees, self.edges, self.vertex_bits):
+        # membership flags of every uint8 vertex set, looked up by `take`
+        self.flag_table = (np.arange(256, dtype=np.uint8)[:, None]
+                           & self.vertex_bits) != 0
+        for a in (self.rows, self.degrees, self.edges, self.vertex_bits,
+                  self.flag_table):
             a.flags.writeable = False
 
     def _pack(self, flags: np.ndarray) -> np.ndarray:
@@ -226,114 +233,65 @@ class _Cube:
 
     def _members(self, vset) -> np.ndarray:
         """Membership flags of each vertex in `vset`, shape (..., n)."""
-        return (np.asarray(vset, dtype=np.uint8)[..., None]
-                & self.vertex_bits) != 0
+        return self.flag_table.take(np.asarray(vset, dtype=np.uint8), axis=0)
+
+    def _neighbours(self, x: int) -> np.ndarray:
+        return self._members(self.rows[:, x])
+
+    def margins(self, c1) -> np.ndarray:
+        """d1 - d2 of every vertex in every configuration."""
+        c1 = np.asarray(c1, dtype=np.uint8)
+        return 2 * _popcount(self.rows & c1[..., None]) - self.degrees
 
     def step(self, c1, rule: UpdateRule) -> np.ndarray:
         """One synchronous day in every configuration (twin of step_mask)."""
-        c1 = np.asarray(c1, dtype=np.uint8)
-        margin = 2 * _popcount(self.rows & c1[..., None]) - self.degrees
-        return self._pack(takes_color1(margin, self._members(c1), rule))
+        return self._pack(takes_color1(self.margins(c1), self._members(c1), rule))
 
-    def _margins(self, c1m: int, skip: int) -> np.ndarray:
-        """Color-1 minus color-2 neighbours of every vertex, ignoring `skip`."""
+    def day(self, c1m: int, rule: UpdateRule, day: int) -> np.ndarray:
+        """The color-1 set on `day`; a unanimous configuration stays where
+        it ended (MaskTrajectory.count_at) and a cycle repeats by itself."""
         full = (1 << self.n) - 1
-        rows = self.rows & np.uint8(full & ~skip)
-        return (_popcount(rows & np.uint8(c1m))
-                - _popcount(rows & np.uint8(full & ~c1m)))
+        cur = np.full(len(self.rows), c1m, dtype=np.uint8)
+        for _ in range(day):
+            cur = np.where((cur == 0) | (cur == full), cur, self.step(cur, rule))
+        return cur
 
     def rhat(self, c1m: int, w: int) -> np.ndarray:
         """Day-1 margin set of focal vertex w (twin of rhat_mask)."""
-        lw = 1 if c1m >> w & 1 else -1
-        member = takes_color1(self._margins(c1m, 1 << w) + lw,
-                              self._members(c1m), UpdateRule.STANDARD)
-        return self._pack(member & ~self._members(1 << w))
+        return self._pack(rhat_flags(self.margins(c1m), self._members(c1m),
+                                     self._neighbours, w))
 
     def s_sets(self, c1m: int, u: int, v: int):
         """(s1, s2, s_star, i_g) for a color-1 focal pair (twin of s_sets_mask)."""
-        if not (c1m >> u & 1 and c1m >> v & 1):
-            raise ValueError("both focal vertices must have color 1")
-        skip = (1 << u) | (1 << v)
-        gap = self._margins(c1m, skip)
-        cur = self._members(c1m)
-        rest = np.uint8(((1 << self.n) - 1) & ~skip)
-        # s1: color 1 on day 1 with one color-1 focal neighbour; s2: color 2
-        # even with both; s_star: the rest
-        s1 = self._pack(takes_color1(gap + 1, cur, UpdateRule.STANDARD)) & rest
-        s2 = self._pack(~takes_color1(gap + 2, cur, UpdateRule.STANDARD)) & rest
-        ss = rest & ~(s1 | s2)
-        ig = _popcount(ss & self.rows[:, u] & self.rows[:, v])
-        return s1, s2, ss, ig
+        s1, s2, ss = map(self._pack, s_sets_flags(
+            self.margins(c1m), self._members(c1m), self._neighbours, u, v))
+        return s1, s2, ss, _popcount(ss & self.rows[:, u] & self.rows[:, v])
 
-    def run(self, c1m: int, rule: UpdateRule,
-            cap: Optional[int] = None) -> "_CubeRun":
-        """Twin of mask_trajectory for every configuration at once."""
+    def run(self, c1m: int, rule: UpdateRule, cap: Optional[int] = None):
+        """Twin of mask_trajectory for every configuration at once: the
+        winner (0 for none), the day of unanimity (-1 for none) and whether
+        the run hit its cap."""
         if cap is None:
             cap = (1 << self.n) + 4
         full = (1 << self.n) - 1
         size = len(self.rows)
-        run = _CubeRun(self, rule, [np.full(size, c1m, dtype=np.uint8)],
-                       kind=np.full(size, _CAP, dtype=np.int8),
-                       winner=np.zeros(size, dtype=np.int8),
-                       day=np.full(size, -1, dtype=np.int64),
-                       entered_day=np.full(size, -1, dtype=np.int64),
-                       period=np.zeros(size, dtype=np.int8))
-        if c1m in (0, full):
-            run.kind[:] = _UNANIMITY
-            run.winner[:] = 1 if c1m == full else 2
-            run.day[:] = 0
-            return run
-        active = np.ones(size, dtype=bool)
-        for day in range(1, cap + 1):
-            nxt = run.advance()
-            uni = active & ((nxt == 0) | (nxt == full))
-            fixed = active & ~uni & (nxt == run.states[-2])
-            two = active & ~uni & ~fixed & (day >= 2 and nxt == run.states[-3])
-            run.kind[uni] = _UNANIMITY
-            run.winner[uni] = np.where(nxt[uni] == full, 1, 2)
-            run.day[uni] = day
-            run.kind[fixed | two] = _CYCLE
-            run.entered_day[fixed] = day - 1
-            run.period[fixed] = 1
-            run.entered_day[two] = day - 2
-            run.period[two] = 2
-            active &= ~(uni | fixed | two)
-            if not active.any():
+        winner = np.zeros(size, dtype=np.int8)
+        day = np.full(size, -1, dtype=np.int64)
+        cur = prev = np.full(size, c1m, dtype=np.uint8)
+        done = (cur == 0) | (cur == full)
+        winner[done] = 1 if c1m == full else 2
+        day[done] = 0
+        for d in range(1, cap + 1):
+            if done.all():
                 break
-        return run
-
-
-@dataclass
-class _CubeRun:
-    """Per-configuration trajectories; fields follow MaskTrajectory, with
-    -1 / 0 where MaskTrajectory has None."""
-
-    cube: _Cube
-    rule: UpdateRule
-    states: list[np.ndarray]          # color-1 set per configuration, day 0 first
-    kind: np.ndarray
-    winner: np.ndarray
-    day: np.ndarray
-    entered_day: np.ndarray
-    period: np.ndarray
-
-    def advance(self) -> np.ndarray:
-        """Append the next day; unanimous configurations stay where they ended."""
-        cur = self.states[-1]
-        nxt = np.where(self.kind == _UNANIMITY, cur, self.cube.step(cur, self.rule))
-        self.states.append(nxt)
-        return nxt
-
-    def count_at(self, day: int) -> np.ndarray:
-        """Color-1 count on `day` (MaskTrajectory.count_at, vectorized).
-
-        Past its end a cycle repeats, which the dynamics do by themselves.
-        """
-        if day >= len(self.states) and (self.kind == _CAP).any():
-            raise ValueError(f"trajectory capped before day {day}")
-        while len(self.states) <= day:
-            self.advance()
-        return _popcount(self.states[day])
+            nxt = self.step(cur, rule)
+            uni = ~done & ((nxt == 0) | (nxt == full))
+            winner[uni] = np.where(nxt[uni] == full, 1, 2)
+            day[uni] = d
+            # a repeat one or two days back; on day 1 both are day 0
+            done |= uni | (nxt == cur) | (nxt == prev)
+            prev, cur = cur, nxt
+        return winner, day, ~done
 
 
 @functools.cache
@@ -420,18 +378,12 @@ class OracleResult:
         return float(self.value)
 
 
-def _c1mask(colors: Sequence[int]) -> int:
-    m = 0
-    for i, c in enumerate(colors):
-        if c == 1:
-            m |= 1 << i
-    return m
-
-
 def _focal_pair(q: OracleQuery, stat: SetStat) -> tuple[int, int]:
-    ones = [i for i, c in enumerate(q.colors) if c == 1]
-    if stat.u is not None and stat.v is not None:
+    if (stat.u is None) != (stat.v is None):
+        raise ValueError("set statistics take both of u and v, or neither")
+    if stat.u is not None:
         return stat.u, stat.v
+    ones = [i for i, c in enumerate(q.colors) if c == 1]
     if len(ones) < 2:
         raise ValueError("set statistics need two color-1 vertices")
     return ones[0], ones[1]
@@ -458,18 +410,16 @@ def _mask_values(q: OracleQuery) -> _Table:
     """The queried statistic on every edge configuration."""
     n = q.n
     stat = q.statistic
-    c1m = _c1mask(q.colors)
+    c1m = sum(1 << i for i, c in enumerate(q.colors) if c == 1)
     cube = _cube(n)
 
     if isinstance(stat, WinProb):
-        run = cube.run(c1m, stat.rule, stat.cap)
-        won = (run.kind == _UNANIMITY) & (run.winner == stat.color)
-        capped = run.kind == _CAP
+        winner, _, capped = cube.run(c1m, stat.rule, stat.cap)
         capped.flags.writeable = False
-        return _integer_table(won, capped)
+        return _integer_table(winner == stat.color, capped)
 
     if isinstance(stat, (ExpectedCount, VarCount)):
-        c1 = cube.run(c1m, stat.rule).count_at(stat.day)
+        c1 = _popcount(cube.day(c1m, stat.rule, stat.day))
         return _integer_table(c1 if stat.color == 1 else n - c1)
 
     if isinstance(stat, MomentZ):
@@ -714,8 +664,8 @@ def enumerate_trial_quantities(n: int, c1: int, p: float,
     d1 = cube.step(c1m, std)
     d2 = cube.step(d1, std)
     d3 = cube.step(d2, std)
-    run = cube.run(c1m, std)
-    win1 = (run.kind == _UNANIMITY) & (run.winner == 1) & (run.day <= cap)
+    winner, day, _ = cube.run(c1m, std)
+    win1 = (winner == 1) & (day <= cap)
     s1, s2, ss, ig = cube.s_sets(c1m, u, v)
     cols = {
         "c11_std": _popcount(d1),
@@ -725,7 +675,7 @@ def enumerate_trial_quantities(n: int, c1: int, p: float,
         "c12": _popcount(d2),
         "c23": n - _popcount(d3),
         "win1": win1,
-        "win_day": np.where(win1, run.day, np.nan),
+        "win_day": np.where(win1, day, np.nan),
         "s1": _popcount(s1),
         "s2": _popcount(s2),
         "ss": _popcount(ss),

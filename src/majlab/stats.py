@@ -85,8 +85,9 @@ def _check_sizes(c1: int, c2: int) -> None:
         raise ValueError(f"both classes must be nonempty, got c1={c1}, c2={c2}")
 
 
-def compute_mu(c1: int, c2: int, p: float) -> tuple[float, float]:
-    """Centering constants of the biased day-1 keep events.
+def compute_mu(c1: int, c2: int, p) -> tuple:
+    """Centering constants of the biased day-1 keep events; exact Fractions
+    (compute_mu_exact) for a rational p, floats otherwise.
 
     With keep = keep_margin(BIASED), the margin at which a vertex keeps:
 
@@ -97,6 +98,8 @@ def compute_mu(c1: int, c2: int, p: float) -> tuple[float, float]:
     below it.  Color 1 already wins ties, so a color-2 vertex survives only
     on a strict same-color majority.
     """
+    if is_exact(p):
+        return compute_mu_exact(c1, c2, p)
     _check_sizes(c1, c2)
     keep = keep_margin(UpdateRule.BIASED)
     mu1 = 2.0 * (1.0 - bindiff_cdf(c1 - 1, c2, p, keep - 1)) - 1.0
@@ -117,11 +120,8 @@ def compute_mu_exact(c1: int, c2: int, p: Union[Fraction, int]) -> tuple[Fractio
 def expected_biased_day1_count(c1: int, c2: int, p):
     """E|C_{1,1}| for the biased rule, = (n + mu1*c1 - mu2*c2) / 2; a
     Fraction for a rational p, a float otherwise."""
-    if is_exact(p):
-        mu1, mu2 = compute_mu_exact(c1, c2, p)
-        return Fraction(c1 + c2 + mu1 * c1 - mu2 * c2, 2)
     mu1, mu2 = compute_mu(c1, c2, p)
-    return (c1 + c2 + mu1 * c1 - mu2 * c2) / 2.0
+    return (c1 + c2 + mu1 * c1 - mu2 * c2) / 2
 
 
 @dataclass
@@ -148,10 +148,10 @@ def centered_indicators(g: ColoredGraph, p) -> CenteredIndicators:
     """Per-vertex Z_v and the aggregate Z = sum_v L(v) Z_v for one graph;
     exact Fractions, with Z_v a list, for a rational p."""
     c1, c2 = g.counts()
-    exact = is_exact(p)
-    mu1, mu2 = (compute_mu_exact if exact else compute_mu)(c1, c2, p)
+    mu1, mu2 = compute_mu(c1, c2, p)
     kept, z_values, z = _centered(g, mu1, mu2)
-    return CenteredIndicators(mu1, mu2, z_values.tolist() if exact else z_values,
+    return CenteredIndicators(mu1, mu2,
+                              z_values.tolist() if is_exact(p) else z_values,
                               z, kept)
 
 

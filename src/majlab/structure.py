@@ -9,6 +9,12 @@ the other vertices by how their day-1 color depends on the edges towards u
 and v: colored 1 if touched by either, colored 2 no matter what, colored 1
 iff adjacent to both.  All predicates use only the edges of G - {u, v}, so
 the sets are independent of the focal neighbourhoods.
+
+`rhat_flags` and `s_sets_flags` are the one definition of these sets.  They
+read day-0 margins, color-1 flags and a neighbour lookup, so the leading
+axes of their inputs may index a batch of graphs: the exact oracle calls
+them on every edge configuration at once.  They also check that the focal
+vertices are in range, distinct and (for s-sets) of color 1.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .graphs import ColoredGraph, unpack_row
 
 __all__ = [
     "StructuralReport",
+    "rhat_flags",
+    "s_sets_flags",
     "compute_r_hat",
     "compute_s_sets",
     "check_day2_identity",
@@ -57,54 +65,74 @@ class StructuralReport:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
-def compute_r_hat(g: ColoredGraph, w: int) -> np.ndarray:
-    """Vertices u != w with d1 + L(w) >= d2 (color-1 u) or > d2 (color-2 u),
-    where the splits are taken in G - w and L(w) is +1/-1 for w color 1/2.
+def _check_focal(n: int, *vertices: int) -> None:
+    for x in vertices:
+        if not 0 <= x < n:
+            raise ValueError(f"vertex {x} out of range for n={n}")
+    if len(set(vertices)) < len(vertices):
+        raise ValueError("focal vertices must be distinct")
 
-    Sorted vertex indices; depends only on edges not incident to w.
+
+def rhat_flags(margin, color1, neighbours, w: int) -> np.ndarray:
+    """Membership of r-hat(w): vertices u != w with d1 + L(w) >= d2 (color-1
+    u) or > d2 (color-2 u), the splits taken in G - w and L(w) = +1/-1 for w
+    color 1/2.
+
+    margin: (..., n) day-0 d1 - d2; color1: (n,) flags of one coloring;
+    neighbours(x): (..., n) neighbour flags of vertex x.
     """
-    if not 0 <= w < g.n:
-        raise ValueError(f"vertex {w} out of range for n={g.n}")
-    ew = unpack_row(g.adj[w], g.n)
-    lw = 1 if g.colors[w] == 1 else -1
-    # the margin in G - w is m - L(w) e_w; then w's own vote L(w) is added
-    member = takes_color1(margins(g, g.color1_words) + lw * (1 - ew),
-                          g.colors == 1, UpdateRule.STANDARD)
-    member[w] = False
-    return np.flatnonzero(member)
+    _check_focal(len(color1), w)
+    lw = 1 if color1[w] else -1
+    # the margin in G - w is m - L(w) e_w; then w's own vote L(w) is added.
+    # e_w takes the margin's dtype, so an int8 margin stays int8.
+    ew = neighbours(w).astype(margin.dtype)
+    member = takes_color1(margin + lw * (1 - ew), color1, UpdateRule.STANDARD)
+    member[..., w] = False
+    return member
+
+
+def s_sets_flags(margin, color1, neighbours, u: int, v: int):
+    """(s1, s2, s_star) flags of the color-1 focal pair (u, v), with inputs
+    as for `rhat_flags`.
+
+    The gap |N(w) cap C1 - {u,v}| - |N(w) cap C2| and w's own color place w
+    in s1 (color 1 on day 1 with one color-1 focal neighbour), s2 (color 2
+    even with both) or s_star (the rest).
+    """
+    _check_focal(len(color1), u, v)
+    if not (color1[u] and color1[v]):
+        raise ValueError("both focal vertices must have color 1")
+    gap = margin - neighbours(u) - neighbours(v)
+    s1 = takes_color1(gap + 1, color1, UpdateRule.STANDARD)
+    s2 = ~takes_color1(gap + 2, color1, UpdateRule.STANDARD)
+    sets = s1, s2, ~(s1 | s2)
+    for flags in sets:
+        flags[..., [u, v]] = False
+    return sets
+
+
+def _flags_of(g: ColoredGraph):
+    """(margins, color-1 flags, neighbour lookup) of one graph."""
+    return (margins(g, g.color1_words), g.colors == 1,
+            lambda x: unpack_row(g.adj[x], g.n))
+
+
+def compute_r_hat(g: ColoredGraph, w: int) -> np.ndarray:
+    """Sorted vertex indices of r-hat(w); depends only on edges not
+    incident to w."""
+    return np.flatnonzero(rhat_flags(*_flags_of(g), w))
 
 
 def compute_s_sets(g: ColoredGraph, u: int, v: int) -> StructuralReport:
-    """Partition V - {u, v} into s1 / s2 / s_star by the gap
-    |N(w) cap C1 - {u,v}| - |N(w) cap C2| and w's own color; also count
-    i_g = |s_star cap N(u) cap N(v)|.
+    """Partition V - {u, v} into s1 / s2 / s_star and count i_g.
 
     Both focal vertices must currently hold color 1.
     """
-    if u == v:
-        raise ValueError("focal vertices must be distinct")
-    if g.colors[u] != 1 or g.colors[v] != 1:
-        raise ValueError("both focal vertices must have color 1")
-    eu = unpack_row(g.adj[u], g.n)
-    ev = unpack_row(g.adj[v], g.n)
-    gap = margins(g, g.color1_words) - eu - ev
-    is_c1 = g.colors == 1
-    rest = np.ones(g.n, dtype=bool)
-    rest[[u, v]] = False
-    # s1: color 1 on day 1 with one color-1 focal neighbour; s2: color 2
-    # even with both; s_star: the rest
-    in_s1 = takes_color1(gap + 1, is_c1, UpdateRule.STANDARD) & rest
-    in_s2 = ~takes_color1(gap + 2, is_c1, UpdateRule.STANDARD) & rest
-    in_star = rest & ~in_s1 & ~in_s2
-    i_g = int(np.count_nonzero(in_star & eu & ev))
-    return StructuralReport(
-        u=u,
-        v=v,
-        s1=tuple(np.flatnonzero(in_s1).tolist()),
-        s2=tuple(np.flatnonzero(in_s2).tolist()),
-        s_star=tuple(np.flatnonzero(in_star).tolist()),
-        i_g=i_g,
-    )
+    margin, color1, neighbours = _flags_of(g)
+    sets = s_sets_flags(margin, color1, neighbours, u, v)
+    i_g = np.count_nonzero(sets[2] & neighbours(u) & neighbours(v))
+    return StructuralReport(u, v, *(tuple(np.flatnonzero(f).tolist())
+                                    for f in sets), i_g=int(i_g))
 
 
 def day2_identity_sides(g: ColoredGraph, u: int, v: int) -> tuple[int, int]:
@@ -114,27 +142,17 @@ def day2_identity_sides(g: ColoredGraph, u: int, v: int) -> tuple[int, int]:
     rhs: |s1 cap N(u)| - |s2 cap N(u)| - |s_star cap (N(u) - N(v))| + i_g.
     Requires u !~ v.
     """
+    margin, color1, neighbours = _flags_of(g)
+    s1, s2, star = s_sets_flags(margin, color1, neighbours, u, v)
     if g.is_edge(u, v):
         raise ValueError("identity requires the focal pair to be non-adjacent")
-    rep = compute_s_sets(g, u, v)
-    day1 = step(g, UpdateRule.STANDARD)
-    eu = unpack_row(g.adj[u], g.n)
-    ev = unpack_row(g.adj[v], g.n)
-    c11 = day1.colors == 1
-    lhs = int(np.count_nonzero(eu & c11)) - int(np.count_nonzero(eu & ~c11))
-    in_s1 = np.zeros(g.n, dtype=bool)
-    in_s1[list(rep.s1)] = True
-    in_s2 = np.zeros(g.n, dtype=bool)
-    in_s2[list(rep.s2)] = True
-    in_star = np.zeros(g.n, dtype=bool)
-    in_star[list(rep.s_star)] = True
-    rhs = (
-        int(np.count_nonzero(in_s1 & eu))
-        - int(np.count_nonzero(in_s2 & eu))
-        - int(np.count_nonzero(in_star & eu & ~ev))
-        + rep.i_g
-    )
-    return lhs, rhs
+    eu, ev = neighbours(u), neighbours(v)
+    c11 = step(g, UpdateRule.STANDARD).colors == 1
+    lhs = np.count_nonzero(eu & c11) - np.count_nonzero(eu & ~c11)
+    rhs = (np.count_nonzero(s1 & eu) - np.count_nonzero(s2 & eu)
+           - np.count_nonzero(star & eu & ~ev)
+           + np.count_nonzero(star & eu & ev))
+    return int(lhs), int(rhs)
 
 
 def check_day2_identity(g: ColoredGraph, u: int, v: int) -> bool:

@@ -71,6 +71,14 @@ def test_oracle_rejects_p_above_one(capsys):
     assert io.out == "" and "p must lie in [0,1]" in io.err
 
 
+def test_oracle_rejects_focal_vertex_out_of_range(capsys):
+    code = run_cli(["oracle", "--n", "4", "--colors", "1122", "--stat",
+                    "setstat", "--which", "r_hat", "--w", "9", "--p", "1/2"])
+    assert code == 1
+    io = capsys.readouterr()
+    assert io.out == "" and "error:" in io.err and "out of range" in io.err
+
+
 def test_sets_subcommand(tmp_path, capsys):
     code = run_cli(["sets", "--n", "30", "--p", "0.2", "--delta", "2",
                     "--seed", "4", "--w", "0"])

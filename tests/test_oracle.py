@@ -213,6 +213,19 @@ def test_query_rejects_p_outside_unit_interval(p, stat):
         OracleQuery(3, p, (1, 1, 2), stat)
 
 
+@pytest.mark.parametrize("colors, stat", [
+    ((1, 1, 2, 2), SetStat("r_hat", w=4)),
+    ((1, 1, 2, 2), SetStat("r_hat", w=-1)),
+    ((1, 1, 2, 2), SetStat("s1", u=0, v=4)),
+    ((1, 1, 1, 1), SetStat("s1", u=0, v=0)),
+    ((1, 1, 1, 1), SetStat("s1", u=2)),
+    ((1, 1, 1, 1), SetStat("i_g", v=3)),
+])
+def test_set_statistics_check_focal_vertices(colors, stat):
+    with pytest.raises(ValueError):
+        oracle_eval(OracleQuery(4, Fraction(1, 2), colors, stat))
+
+
 def test_query_accepts_p_zero_and_one():
     # no edges: a fixed point; the triangle: the majority wins on day 1
     for p, value in ((0, 0), (0.0, 0.0), (1, 1), (Fraction(1), 1), (1.0, 1.0)):
@@ -279,20 +292,18 @@ def test_cube_kernels_match_scalar_kernels():
             for rule in UpdateRule:
                 assert cube.step(c1m, rule).tolist() == \
                     [step_mask(n, rows, c1m, rule) for rows in all_rows]
-                for cap in (None, 1, 2):
-                    run = cube.run(c1m, rule, cap)
-                    counts = np.stack([run.count_at(d)
-                                       for d in range(len(run.states))], axis=1)
-                    for k, rows in enumerate(all_rows):
-                        t = mask_trajectory(n, rows, c1m, rule, cap)
-                        got = (("unanimity", "cycle", "cap")[run.kind[k]],
-                               run.winner[k] or None,
-                               None if run.day[k] < 0 else run.day[k],
-                               None if run.entered_day[k] < 0 else run.entered_day[k],
-                               run.period[k] or None)
-                        assert got == (t.kind, t.winner, t.day, t.entered_day,
-                                       t.period), (n, colors, rule, cap, k)
-                        assert counts[k, :len(t.counts)].tolist() == list(t.counts)
+                trajs = {cap: [mask_trajectory(n, rows, c1m, rule, cap)
+                               for rows in all_rows] for cap in (None, 1, 2)}
+                for cap, ts in trajs.items():
+                    got = zip(*(a.tolist() for a in cube.run(c1m, rule, cap)))
+                    want = [(t.winner or 0, -1 if t.day is None else t.day,
+                             t.kind == "cap") for t in ts]
+                    assert list(got) == want, (n, colors, rule, cap)
+                # past a trajectory's end its cycle repeats and unanimity holds
+                ts = trajs[None]
+                for d in range(max(len(t.counts) for t in ts) + 2):
+                    assert np.bitwise_count(cube.day(c1m, rule, d)).tolist() \
+                        == [t.count_at(d) for t in ts], (n, colors, rule, d)
             for w in range(n):
                 assert cube.rhat(c1m, w).tolist() == \
                     [rhat_mask(n, rows, c1m, w) for rows in all_rows]

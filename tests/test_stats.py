@@ -70,6 +70,14 @@ def test_mu_exact_small_case():
     assert f2 == pytest.approx(-7 / 8, abs=1e-12)
 
 
+def test_mu_exactness_follows_the_type_of_p():
+    assert compute_mu(3, 2, Fraction(1, 2)) == (Fraction(7, 8), Fraction(-7, 8))
+    assert all(isinstance(mu, Fraction) for mu in compute_mu(3, 2, 1))
+    rational = moment_estimate(40, Fraction(1, 5), 2, 2, 10, master_seed=3)
+    binary = moment_estimate(40, 0.2, 2, 2, 10, master_seed=3)
+    assert rational.value == pytest.approx(binary.value, rel=1e-12)
+
+
 def test_mu_matches_brute_force(rng):
     for _ in range(20):
         c1 = int(rng.integers(1, 6))

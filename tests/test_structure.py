@@ -118,6 +118,18 @@ def test_s_sets_validation():
         compute_s_sets(g, 0, 2)
 
 
+@pytest.mark.parametrize("u, v", [(0, 4), (-1, 0), (0, -4)])
+def test_focal_vertices_out_of_range(u, v):
+    # a negative index must not wrap round to the last vertices
+    g = ColoredGraph.from_edges(4, [(1, 3)], [1, 1, 1, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        compute_s_sets(g, u, v)
+    with pytest.raises(ValueError, match="out of range"):
+        day2_identity_sides(g, u, v)
+    with pytest.raises(ValueError, match="out of range"):
+        compute_r_hat(g, v if u == 0 else u)
+
+
 def test_s_sets_ignore_focal_edges(rng):
     for _ in range(30):
         g, _, _ = random_colored_graph(rng, 14, 0.4)

@@ -229,7 +229,11 @@ class _Cube:
 
     def _pack(self, flags: np.ndarray) -> np.ndarray:
         """(..., n) vertex flags -> (...) vertex sets."""
-        return flags.view(np.uint8) @ self.vertex_bits
+        bits = flags.view(np.uint8)
+        out = bits[..., 0].copy()
+        for v in range(1, self.n):
+            out |= bits[..., v] << v
+        return out
 
     def _members(self, vset) -> np.ndarray:
         """Membership flags of each vertex in `vset`, shape (..., n)."""

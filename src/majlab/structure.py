@@ -107,7 +107,7 @@ def s_sets_flags(margin, color1, neighbours, u: int, v: int):
     s2 = ~takes_color1(gap + 2, color1, UpdateRule.STANDARD)
     sets = s1, s2, ~(s1 | s2)
     for flags in sets:
-        flags[..., [u, v]] = False
+        flags[..., u] = flags[..., v] = False
     return sets
 
 

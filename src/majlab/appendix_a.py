@@ -4,7 +4,7 @@ Each check computes both sides from exact pmf tables (or exhaustively, for
 the conditional-moment and contraction checks on finite toy spaces) over a
 grid of parameter points.  Points that violate a check's hypotheses are
 recorded as skipped, never as failures.  Slack is rhs - lhs for upper bounds
-and lhs - rhs for lower bounds, so a pass is slack >= -tolerance.
+and lhs - rhs for lower bounds, so a pass is slack >= -1e-9.
 
 Checks and their hypothesis ranges:
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,17 +45,6 @@ __all__ = [
     "default_grid",
     "LEMMA_IDS",
 ]
-
-LEMMA_IDS = (
-    "clt_supremum",
-    "pointmass_upper",
-    "step_bound",
-    "equal_point_lower",
-    "pointmass_lower",
-    "conditional_variance",
-    "conditional_mean",
-    "cdf_contraction",
-)
 
 _TOL = 1e-9
 
@@ -72,22 +61,14 @@ class InequalityPoint:
     reason: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-            "asserted": self.asserted,
-            "reason": self.reason,
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
 
 
 @dataclass
 class InequalityReport:
     points: list[InequalityPoint] = field(default_factory=list)
-    tolerance: float = _TOL
 
     def summary(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
@@ -319,14 +300,15 @@ _CHECKS = {
     "conditional_mean": (_check_conditional_mean, "<="),
     "cdf_contraction": (_check_cdf_contraction, "<="),
 }
+LEMMA_IDS = tuple(_CHECKS)
 
 
-def verify_appendix_a(grid: Optional[dict[str, list[dict]]] = None,
-                      tolerance: float = _TOL) -> InequalityReport:
+def verify_appendix_a(
+        grid: Optional[dict[str, list[dict]]] = None) -> InequalityReport:
     """Evaluate every grid point; hypothesis violations are skipped records."""
     if grid is None:
         grid = default_grid()
-    report = InequalityReport(tolerance=tolerance)
+    report = InequalityReport()
     for lemma_id, points in grid.items():
         if lemma_id not in _CHECKS:
             raise ValueError(f"unknown check: {lemma_id}")
@@ -339,6 +321,6 @@ def verify_appendix_a(grid: Optional[dict[str, list[dict]]] = None,
                 continue
             slack = (rhs - lhs) if direction == "<=" else (lhs - rhs)
             report.points.append(InequalityPoint(
-                lemma_id, params, lhs, rhs, slack, slack >= -tolerance,
+                lemma_id, params, lhs, rhs, slack, slack >= -_TOL,
                 asserted, reason or None))
     return report

@@ -27,7 +27,8 @@ from .harness import (ExperimentConfig, ForeignResultsError, run_sweep,
 from .oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
                      SetStat, VarCount, WinProb, oracle_eval)
 from .stats import lemma_report
-from .structure import compute_r_hat, compute_s_sets, day2_identity_sides
+from .structure import (compute_r_hat, compute_s_sets, day2_identity_sides,
+                        focal_pair)
 
 
 def _fmt(x: float) -> str:
@@ -307,9 +308,7 @@ def _cmd_sets(args) -> int:
             raise ValueError("need --graph or all of --n/--p/--delta")
         g = sample_gnp(GraphParams(args.n, args.p, args.seed),
                        FixedGap.from_delta(args.delta))
-    ones = [i for i, c in enumerate(g.colors) if c == 1]
-    u = args.u if args.u is not None else ones[0]
-    v = args.v if args.v is not None else ones[1]
+    u, v = focal_pair(g.colors == 1, args.u, args.v)
     rep = compute_s_sets(g, u, v)
     if args.w is not None:
         rep.w = args.w

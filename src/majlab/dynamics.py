@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TextIO, Union
 
 import numpy as np
@@ -75,6 +75,7 @@ class CapReached:
 
 
 Termination = Union[Unanimity, TwoCycle, CapReached]
+_KINDS = {Unanimity: "unanimity", TwoCycle: "two_cycle", CapReached: "cap_reached"}
 
 
 @dataclass
@@ -99,11 +100,7 @@ class DynamicsTrace:
 
     def termination_record(self) -> dict:
         t = self.termination
-        if isinstance(t, Unanimity):
-            return {"kind": "unanimity", "winner": t.winner, "day": t.day}
-        if isinstance(t, TwoCycle):
-            return {"kind": "two_cycle", "entered_day": t.entered_day, "period": t.period}
-        return {"kind": "cap_reached", "cap": t.cap}
+        return {"kind": _KINDS[type(t)], **asdict(t)}
 
 
 def keep_margin(rule: UpdateRule) -> int:

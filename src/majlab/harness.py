@@ -15,6 +15,7 @@ differs, so cells of two different sweeps never mix.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +26,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .dynamics import TwoCycle, Unanimity, UpdateRule, default_cap, run
+from .dynamics import (Termination, TwoCycle, Unanimity, UpdateRule,
+                       default_cap, run)
 from .graphs import (ColoringScheme, FixedGap, GraphParams, RandomBiased,
                      RandomHalf, sample_gnp, split_seed)
 
@@ -116,31 +118,13 @@ class Cell:
         return self.scheme.delta if isinstance(self.scheme, FixedGap) else None
 
 
-# trial outcome codes
-_WIN, _CYCLE, _CAP = 0, 1, 2
-
-
 def _one_trial(n: int, p: float, scheme: ColoringScheme, rule: UpdateRule,
                cap: int, master_seed: int, cell_index: int,
-               trial_index: int) -> tuple[int, int, int, int, int]:
+               trial_index: int) -> tuple[Termination, int]:
+    """How one trial's run ended, and its day-0 color-1 count."""
     seed = split_seed(master_seed, cell_index, trial_index)
-    g = sample_gnp(GraphParams(n, p, seed), scheme)
-    tr = run(g, rule, cap)
-    c1_0 = tr.counts[0][1]
-    t = tr.termination
-    if isinstance(t, Unanimity):
-        return trial_index, _WIN, t.winner, t.day, c1_0
-    if isinstance(t, TwoCycle):
-        return trial_index, _CYCLE, 0, -1, c1_0
-    return trial_index, _CAP, 0, -1, c1_0
-
-
-def _run_chunk(args) -> list[tuple[int, int, int, int, int]]:
-    (n, p, scheme, rule, cap, master_seed, cell_index, lo, hi) = args
-    return [
-        _one_trial(n, p, scheme, rule, cap, master_seed, cell_index, t)
-        for t in range(lo, hi)
-    ]
+    tr = run(sample_gnp(GraphParams(n, p, seed), scheme), rule, cap)
+    return tr.termination, tr.counts[0][1]
 
 
 @dataclass
@@ -179,23 +163,21 @@ class SweepResult:
         raise KeyError(cell_id)
 
 
-def _aggregate(cell: Cell, outcomes: list[tuple[int, int, int, int, int]],
-               track_majority: bool) -> CellResult:
-    outcomes = sorted(outcomes)  # by trial index: reduction order is fixed
+def _aggregate(cell: Cell, outcomes: list[tuple[Termination, int]]) -> CellResult:
+    """Reduce a cell's (termination, day-0 c1) outcomes, in trial order."""
     n = cell.n
+    track_majority = not isinstance(cell.scheme, FixedGap)
     wins1 = wins2 = cycles = caps = 0
     day_sum = 0
-    day_count = 0
     maj_trials = maj_wins = ties = 0
-    for _, kind, winner, days, c1_0 in outcomes:
-        if kind == _WIN:
-            if winner == 1:
+    for t, c1_0 in outcomes:
+        if isinstance(t, Unanimity):
+            if t.winner == 1:
                 wins1 += 1
             else:
                 wins2 += 1
-            day_sum += days
-            day_count += 1
-        elif kind == _CYCLE:
+            day_sum += t.day
+        elif isinstance(t, TwoCycle):
             cycles += 1
         else:
             caps += 1
@@ -205,9 +187,10 @@ def _aggregate(cell: Cell, outcomes: list[tuple[int, int, int, int, int]],
             else:
                 maj_trials += 1
                 majority = 1 if 2 * c1_0 > n else 2
-                if kind == _WIN and winner == majority:
+                if isinstance(t, Unanimity) and t.winner == majority:
                     maj_wins += 1
     trials = len(outcomes)
+    day_count = wins1 + wins2
     lo, hi = wilson_interval(wins1, trials)
     return CellResult(
         cell_id=cell.index, n=n, p=cell.p, delta=cell.delta, trials=trials,
@@ -220,19 +203,17 @@ def _aggregate(cell: Cell, outcomes: list[tuple[int, int, int, int, int]],
     )
 
 
-def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool,
-                  track_majority: bool) -> CellResult:
+def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool) -> CellResult:
+    """Map the cell's trials in index order, in this process or the pool."""
     cap = cfg.cap if cfg.cap is not None else default_cap(cell.n, cell.p)
     chunk = max(1, min(_MAX_CHUNK,
                        math.ceil(cfg.trials / max(1, cfg.workers * 4))))
-    chunks = [
-        (cell.n, cell.p, cell.scheme, cfg.rule, cap, cfg.master_seed,
-         cell.index, lo, min(lo + chunk, cfg.trials))
-        for lo in range(0, cfg.trials, chunk)
-    ]
-    parts = map(_run_chunk, chunks) if pool is None else pool.map(_run_chunk, chunks)
-    outcomes = [o for part in parts for o in part]
-    return _aggregate(cell, outcomes, track_majority)
+    trial = functools.partial(_one_trial, cell.n, cell.p, cell.scheme, cfg.rule,
+                              cap, cfg.master_seed, cell.index)
+    trials = range(cfg.trials)
+    outcomes = (map(trial, trials) if pool is None
+                else pool.map(trial, trials, chunksize=chunk))
+    return _aggregate(cell, list(outcomes))
 
 
 def _pool(workers: int):
@@ -320,7 +301,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         _claim_results(results_path, cfg)
         if results_path.exists():
             completed = _load_finished(results_path)
-    track_majority = cfg.scheme is not None and not isinstance(cfg.scheme, FixedGap)
 
     out: list[CellResult] = []
     with _pool(cfg.workers) as pool:
@@ -330,7 +310,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
                 out.append(CellResult(**{
                     k: rec.get(k) for k in CellResult.__dataclass_fields__}))
                 continue
-            res = _execute_cell(cell, cfg, pool, track_majority)
+            res = _execute_cell(cell, cfg, pool)
             out.append(res)
             if results_path is not None:
                 with results_path.open("a") as fh:
@@ -389,8 +369,7 @@ def threshold_scan(n: int, p: float, rule: UpdateRule, trials: int,
                     n_values=(n,), p_values=(p,), delta_values=(td / 2,),
                     rule=rule, trials=trials,
                     master_seed=split_seed(master_seed, td), workers=workers)
-                cell = _execute_cell(cfg.cells()[0], cfg, pool,
-                                     track_majority=False)
+                cell = _execute_cell(cfg.cells()[0], cfg, pool)
                 evals[td] = {"wins1": cell.wins1, "trials": cell.trials,
                              "wilson_lo": cell.wilson_lo, "p_hat": cell.p_hat}
             return evals[td]["wilson_lo"] >= target_prob

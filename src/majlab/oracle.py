@@ -35,7 +35,7 @@ import numpy as np
 from .dynamics import UpdateRule, takes_color1
 from .fourier import config_weights, edge_list, fourier_coefficients
 from .stats import compute_mu_exact, expected_biased_day1_count, is_exact
-from .structure import rhat_flags, s_sets_flags
+from .structure import focal_pair, rhat_flags, s_sets_flags
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -254,6 +254,8 @@ class _Cube:
     def day(self, c1m: int, rule: UpdateRule, day: int) -> np.ndarray:
         """The color-1 set on `day`; a unanimous configuration stays where
         it ended (MaskTrajectory.count_at) and a cycle repeats by itself."""
+        if day < 0:
+            raise ValueError(f"day must be at least 0, got {day}")
         full = (1 << self.n) - 1
         cur = np.full(len(self.rows), c1m, dtype=np.uint8)
         for _ in range(day):
@@ -277,6 +279,8 @@ class _Cube:
         the run hit its cap."""
         if cap is None:
             cap = (1 << self.n) + 4
+        if cap < 1:
+            raise ValueError("cap must be at least 1")
         full = (1 << self.n) - 1
         size = len(self.rows)
         winner = np.zeros(size, dtype=np.int8)
@@ -382,17 +386,6 @@ class OracleResult:
         return float(self.value)
 
 
-def _focal_pair(q: OracleQuery, stat: SetStat) -> tuple[int, int]:
-    if (stat.u is None) != (stat.v is None):
-        raise ValueError("set statistics take both of u and v, or neither")
-    if stat.u is not None:
-        return stat.u, stat.v
-    ones = [i for i, c in enumerate(q.colors) if c == 1]
-    if len(ones) < 2:
-        raise ValueError("set statistics need two color-1 vertices")
-    return ones[0], ones[1]
-
-
 @dataclass(frozen=True)
 class _Table:
     """A statistic over the cube: configuration k has value values[keys[k]]."""
@@ -440,7 +433,7 @@ def _mask_values(q: OracleQuery) -> _Table:
             w = stat.w if stat.w is not None else 0
             raw = _popcount(cube.rhat(c1m, w))
         else:
-            u, v = _focal_pair(q, stat)
+            u, v = focal_pair([c == 1 for c in q.colors], stat.u, stat.v)
             pick = {"s1": 0, "s2": 1, "s_star": 2, "i_g": 3}.get(stat.which)
             if pick is None:
                 raise ValueError(f"unknown set statistic: {stat.which}")

@@ -10,13 +10,14 @@ keep probability mapped to [-1, 1].  The aggregate Z = sum_v L(v) Z_v equals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import UpdateRule, default_cap, keep_margin, run, step
+from .dynamics import (Unanimity, UpdateRule, default_cap, keep_margin, run,
+                       step)
 from .graphs import (ColoredGraph, FixedGap, GraphParams, sample_gnp,
                      split_seed)
 from .probability import (BERRY_ESSEEN_C, bindiff_cdf, bindiff_geq_exact,
@@ -248,18 +249,7 @@ class LemmaRecord:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "quote_anchor": self.quote_anchor,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "direction": self.direction,
-            "mode": self.mode,
-            "hypotheses_met": self.hypotheses_met,
-            "asserted": self.asserted,
-            "satisfied": self.satisfied,
-            "extra": self.extra,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -278,14 +268,7 @@ class LemmaReport:
         raise KeyError(lemma_id)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "delta": self.delta,
-            "trials": self.trials,
-            "mode": self.mode,
-            "records": [r.to_dict() for r in self.records],
-        }
+        return asdict(self)
 
     def asserted_failures(self) -> list[str]:
         return [r.lemma_id for r in self.records
@@ -324,11 +307,10 @@ def _gather_trial_quantities(n: int, p: float, delta, trials: int,
         c12 = int((day2.colors == 1).sum())
         cols["c12"][t] = c12
         cols["c23"][t] = n - int((day3.colors == 1).sum())
-        tr = run(g, UpdateRule.STANDARD, cap)
-        rec = tr.termination_record()
-        win1 = rec["kind"] == "unanimity" and rec["winner"] == 1
+        end = run(g, UpdateRule.STANDARD, cap).termination
+        win1 = isinstance(end, Unanimity) and end.winner == 1
         cols["win1"][t] = float(win1)
-        cols["win_day"][t] = rec["day"] if win1 else np.nan
+        cols["win_day"][t] = end.day if win1 else np.nan
         rep = compute_s_sets(g, u, v)
         cols["s1"][t] = len(rep.s1)
         cols["s2"][t] = len(rep.s2)

@@ -30,6 +30,7 @@ from .graphs import ColoredGraph, unpack_row
 
 __all__ = [
     "StructuralReport",
+    "focal_pair",
     "rhat_flags",
     "s_sets_flags",
     "compute_r_hat",
@@ -71,6 +72,20 @@ def _check_focal(n: int, *vertices: int) -> None:
             raise ValueError(f"vertex {x} out of range for n={n}")
     if len(set(vertices)) < len(vertices):
         raise ValueError("focal vertices must be distinct")
+
+
+def focal_pair(color1, u: Optional[int] = None,
+               v: Optional[int] = None) -> tuple[int, int]:
+    """The focal pair of the s-sets: (u, v) when both are given, the first
+    two color-1 vertices when neither is."""
+    if (u is None) != (v is None):
+        raise ValueError("set statistics take both of u and v, or neither")
+    if u is not None:
+        return u, v
+    ones = np.flatnonzero(color1)
+    if len(ones) < 2:
+        raise ValueError("set statistics need two color-1 vertices")
+    return int(ones[0]), int(ones[1])
 
 
 def rhat_flags(margin, color1, neighbours, w: int) -> np.ndarray:

@@ -79,6 +79,14 @@ def test_oracle_rejects_focal_vertex_out_of_range(capsys):
     assert io.out == "" and "error:" in io.err and "out of range" in io.err
 
 
+def test_oracle_rejects_negative_day(capsys):
+    code = run_cli(["oracle", "--n", "3", "--colors", "112", "--stat",
+                    "expcount", "--day", "-2", "--p", "1/2"])
+    assert code == 1
+    io = capsys.readouterr()
+    assert io.out == "" and "day must be at least 0" in io.err
+
+
 def test_sets_subcommand(tmp_path, capsys):
     code = run_cli(["sets", "--n", "30", "--p", "0.2", "--delta", "2",
                     "--seed", "4", "--w", "0"])
@@ -101,6 +109,21 @@ def test_sets_from_graph_file(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["i_g"] == 1
     assert data["day2_identity"]["holds"]
+
+
+@pytest.mark.parametrize("colors, focal, message", [
+    ([1, 2, 2], [], "need two color-1 vertices"),
+    ([1, 1, 2, 1], ["--u", "3"], "take both of u and v, or neither"),
+])
+def test_sets_rejects_a_missing_focal_pair(tmp_path, capsys, colors, focal,
+                                           message):
+    from majlab.graphs import ColoredGraph
+    path = tmp_path / "g.json"
+    path.write_text(ColoredGraph.from_edges(len(colors), [(0, 1)],
+                                            colors).to_json())
+    assert run_cli(["sets", "--graph", str(path)] + focal) == 1
+    io = capsys.readouterr()
+    assert io.out == "" and f"error: set statistics {message}" in io.err
 
 
 def test_verify_small_grid(tmp_path, capsys):

@@ -195,3 +195,14 @@ def test_trace_csv_with_json_footer():
     assert lines[2] == "1,3,0"
     footer = json.loads(lines[-1].lstrip("# "))
     assert footer == {"kind": "unanimity", "winner": 1, "day": 1}
+
+
+@pytest.mark.parametrize("termination, record", [
+    (Unanimity(winner=2, day=3), {"kind": "unanimity", "winner": 2, "day": 3}),
+    (TwoCycle(entered_day=4, period=1),
+     {"kind": "two_cycle", "entered_day": 4, "period": 1}),
+    (CapReached(7), {"kind": "cap_reached", "cap": 7}),
+])
+def test_termination_record_keys(termination, record):
+    tr = dynamics.DynamicsTrace(3, [(0, 1)], termination)
+    assert json.dumps(tr.termination_record()) == json.dumps(record)

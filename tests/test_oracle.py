@@ -226,6 +226,18 @@ def test_set_statistics_check_focal_vertices(colors, stat):
         oracle_eval(OracleQuery(4, Fraction(1, 2), colors, stat))
 
 
+@pytest.mark.parametrize("stat, match", [
+    (ExpectedCount(day=-3), "day must be at least 0"),
+    (VarCount(day=-1), "day must be at least 0"),
+    (WinProb(cap=0), "cap must be at least 1"),
+])
+def test_day_and_cap_queries_reject_values_below_their_floor(stat, match):
+    # a negative day must not answer with the day-0 value, nor cap 0 with
+    # every configuration capped
+    with pytest.raises(ValueError, match=match):
+        oracle_eval(OracleQuery(3, Fraction(1, 2), (1, 1, 2), stat))
+
+
 def test_query_accepts_p_zero_and_one():
     # no edges: a fixed point; the triangle: the majority wins on day 1
     for p, value in ((0, 0), (0.0, 0.0), (1, 1), (Fraction(1), 1), (1.0, 1.0)):

@@ -10,7 +10,7 @@ from majlab.graphs import ColoredGraph, FixedGap, GraphParams, sample_gnp
 from majlab.oracle import rhat_mask, s_sets_mask
 from majlab.probability import binom_pmf
 from majlab.structure import (check_day2_identity, compute_r_hat,
-                              compute_s_sets, day2_identity_sides)
+                              compute_s_sets, day2_identity_sides, focal_pair)
 
 from conftest import random_colored_graph
 
@@ -116,6 +116,18 @@ def test_s_sets_validation():
         compute_s_sets(g, 0, 0)
     with pytest.raises(ValueError):
         compute_s_sets(g, 0, 2)
+
+
+def test_focal_pair_defaults_to_the_first_two_color1_vertices():
+    color1 = np.array([False, True, False, True, True])
+    assert focal_pair(color1) == (1, 3)
+    assert focal_pair(color1, 4, 1) == (4, 1)
+    with pytest.raises(ValueError, match="both of u and v, or neither"):
+        focal_pair(color1, u=3)
+    with pytest.raises(ValueError, match="both of u and v, or neither"):
+        focal_pair(color1, v=3)
+    with pytest.raises(ValueError, match="need two color-1 vertices"):
+        focal_pair(np.array([True, False, False]))
 
 
 @pytest.mark.parametrize("u, v", [(0, 4), (-1, 0), (0, -4)])

@@ -6,14 +6,16 @@ word-AND plus popcount.  Colors are the integers 1 and 2.
 
 `sample_gnp` builds the adjacency in three stages: geometric skips draw the
 sorted linear indices of the present pairs (`_sample_pair_indices`, the only
-stage that calls the RNG), a per-row mapping turns them into pairs i < j
-(`_pairs_from_linear`), and one flat scatter adds both orientations' bits
-into the words.
+stage that calls the RNG; below p = 1/3 it applies numpy's own inversion
+formula to standard exponentials, so sampled bits rest on that formula too),
+a per-row mapping turns them into pairs i < j (`_pairs_from_linear`), and
+one flat scatter adds both orientations' bits into the words.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -158,14 +160,15 @@ class ColoredGraph:
         colors = np.asarray(colors, dtype=np.int8)
         if colors.shape != (n,):
             raise ValueError("colors must have one entry per vertex")
-        if not np.isin(colors, (1, 2)).all():
+        color1 = colors == 1
+        if not (color1 | (colors == 2)).all():
             raise ValueError("colors must be 1 or 2")
         adj.setflags(write=False)
         colors.setflags(write=False)
         self.n = n
         self.adj = adj
         self.colors = colors
-        self._color1_words = pack_color_mask(colors == 1)
+        self._color1_words = pack_color_mask(color1)
         self._color1_words.setflags(write=False)
         self._degrees = _degrees
 
@@ -241,12 +244,27 @@ class ColoredGraph:
         return f"ColoredGraph(n={self.n}, edges={int(popcount_rows(self.adj).sum()) // 2}, c1={c1}, c2={c2})"
 
 
+def _geometric_skips(rng: np.random.Generator, p: float, size: int, cap: int) -> np.ndarray:
+    """size draws of rng.geometric(p).  Below p = 1/3 numpy draws them as
+    ceil(E / -log1p(-p)) for standard exponentials E; that formula, with the
+    log taken once, gives the same values, here clamped at cap.
+    """
+    if p >= 1.0 / 3.0:
+        return rng.geometric(p, size=size)
+    gaps = rng.standard_exponential(size)
+    with np.errstate(over="ignore"):
+        np.divide(gaps, -math.log1p(-p), out=gaps)
+    np.ceil(gaps, out=gaps)
+    return np.minimum(gaps, cap, out=gaps).astype(np.int64)
+
+
 def _sample_pair_indices(rng: np.random.Generator, n_pairs: int, p: float) -> np.ndarray:
     """Strictly increasing indices of present pairs among 0..n_pairs-1, each
     independently kept w.p. p.
 
     Geometric skips between successes, so work is proportional to the number
-    of edges rather than the number of pairs.
+    of edges rather than the number of pairs.  Clamping skips at n_pairs + 1,
+    past which any skip ends the sample, keeps the sums from overflowing.
     """
     if p <= 0.0 or n_pairs == 0:
         return np.empty(0, dtype=np.int64)
@@ -257,17 +275,15 @@ def _sample_pair_indices(rng: np.random.Generator, n_pairs: int, p: float) -> np
     mean = n_pairs * p
     batch = min(int(mean + 10.0 * np.sqrt(mean + 1.0) + 16), 1 << 24)
     while pos < n_pairs:
-        gaps = rng.geometric(p, size=batch)
-        steps = np.cumsum(gaps) + pos
-        take = steps[steps <= n_pairs]
-        if take.shape[0] < steps.shape[0]:
-            chunks.append(take - 1)
+        gaps = _geometric_skips(rng, p, batch, n_pairs + 1)
+        gaps[0] += pos - 1
+        steps = np.cumsum(gaps, out=gaps)
+        cut = int(np.searchsorted(steps, n_pairs - 1, side="right"))
+        chunks.append(steps[:cut])
+        if cut < batch:
             break
-        chunks.append(steps - 1)
-        pos = int(steps[-1])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+        pos = int(steps[-1]) + 1
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,9 +296,8 @@ def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     rows = np.arange(n - 1, dtype=np.int64)
     row_starts = rows * (n - 1) - rows * (rows - 1) // 2
     counts = np.diff(np.searchsorted(idx, row_starts), append=idx.shape[0])
-    i = np.repeat(rows, counts)
-    j = i + 1 + (idx - row_starts[i])
-    return i, j
+    # j = i + 1 + (idx - row_starts[i]), with the per-row offset repeated
+    return np.repeat(rows, counts), idx - np.repeat(row_starts - rows - 1, counts)
 
 
 def sample_gnp(params: GraphParams, scheme: ColoringScheme) -> ColoredGraph:
@@ -303,8 +318,8 @@ def sample_gnp(params: GraphParams, scheme: ColoringScheme) -> ColoredGraph:
         one = np.uint64(1)
         flat = adj.reshape(-1)
         # A simple graph sets each bit once, so adding bits into a word ors them.
-        np.add.at(flat, i * w + (j >> 6), one << (j & 63).astype(np.uint64))
-        np.add.at(flat, j * w + (i >> 6), one << (i & 63).astype(np.uint64))
+        np.add.at(flat, i * w + (j >> 6), one << (j & 63).view(np.uint64))
+        np.add.at(flat, j * w + (i >> 6), one << (i & 63).view(np.uint64))
 
     if isinstance(scheme, FixedGap):
         c1, c2 = scheme.class_sizes(n)

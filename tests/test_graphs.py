@@ -1,12 +1,14 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, RandomBiased,
-                           RandomHalf, _n_words, _pairs_from_linear,
-                           _sample_pair_indices, degree_split,
+                           RandomHalf, _geometric_skips, _n_words,
+                           _pairs_from_linear, _sample_pair_indices,
+                           degree_split,
                            pack_color_mask, sample_gnp, split_seed,
                            unpack_row)
 
@@ -81,10 +83,65 @@ def test_sampler_matches_reference_construction(n, p, seeds):
     pytest.param(10_000, 0.01, 13, FixedGap.from_delta(1000),
                  "3e7da7a2b2f313042694e6fe2a1be280ea03763c62b32a5699119f1bf17a6d89",
                  id="fixed-gap-10000"),
+    pytest.param(10_000, 10 * 10_000 ** (-2 / 3), 14, RandomHalf(),
+                 "bad48daeb6b3d94db0c65165d60a0c5bce0f7b941245c18f4007eb23f3dd53b7",
+                 id="random-half-10000-criterion-5c"),
+    pytest.param(65, float(np.nextafter(1 / 3, 0)), 15, RandomHalf(),
+                 "f19da556f26098882bab82ef412f3b4660ae52fe0fedd8664706e36fde79cec4",
+                 id="random-half-65-below-third"),
+    pytest.param(65, 1 / 3, 16, RandomHalf(),
+                 "fce8a4e3ec7f948691d67c0de17c3fef24d499cf7237bebbc40c407a0e879334",
+                 id="random-half-65-third"),
 ])
 def test_sampler_golden_digests(n, p, seed, scheme, digest):
     g = sample_gnp(GraphParams(n, p, seed), scheme)
     assert hashlib.sha256(g.adj.tobytes() + g.colors.tobytes()).hexdigest() == digest
+
+
+class _RecordingRng:
+    """Forwards to a Generator and records which of its methods are called."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("p", [1e-9, 1e-5, 0.01, 0.0215, 0.1, 0.3,
+                               float(np.nextafter(1 / 3, 0))])
+def test_inversion_skips_match_numpy_geometric(p):
+    # the sampler's bits rest on numpy's inversion formula below p = 1/3:
+    # if a numpy release changes it, this fails before any digest does
+    for seed in range(3):
+        ours = _RecordingRng(np.random.default_rng(seed))
+        theirs = np.random.default_rng(seed)
+        got = _geometric_skips(ours, p, 5000, 1 << 62)
+        assert ours.calls == ["standard_exponential"]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, theirs.geometric(p, 5000))
+        assert ours.rng.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [1 / 3, 0.5, 0.9])
+def test_skips_from_one_third_use_numpy_geometric(p):
+    ours = _RecordingRng(np.random.default_rng(5))
+    got = _geometric_skips(ours, p, 1000, 1 << 62)
+    assert ours.calls == ["geometric"]
+    assert np.array_equal(got, np.random.default_rng(5).geometric(p, 1000))
+
+
+@pytest.mark.parametrize("p", [1e-19, 1e-300, 5e-324])
+def test_tiny_p_gives_empty_graph_without_warning(p):
+    # numpy's skips saturate at INT64_MAX here; unclamped, their sums wrapped
+    # to negative pair indices and the scatter failed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = sample_gnp(GraphParams(100, p, 1), RandomHalf())
+        skips = _geometric_skips(np.random.default_rng(1), p, 8, 4951)
+    assert g.edges() == [] and not g.degrees.any()
+    assert (skips == 4951).all()
 
 
 def test_degree_split_examples():
@@ -186,6 +243,18 @@ def test_pack_unpack_roundtrip(bits):
     flags = np.asarray(bits, dtype=bool)
     words = pack_color_mask(flags)
     assert np.array_equal(unpack_row(words, len(bits)), flags)
+
+
+@pytest.mark.parametrize("bad", [0, 3, -1])
+def test_colors_outside_one_two_rejected(bad):
+    adj = np.zeros((3, 1), dtype=np.uint64)
+    with pytest.raises(ValueError, match="colors must be 1 or 2"):
+        ColoredGraph(3, adj, np.array([1, bad, 2]))
+    with pytest.raises(ValueError, match="colors must be 1 or 2"):
+        ColoredGraph.from_edges(3, [(0, 1)], [bad, 2, 1])
+    g = ColoredGraph(3, adj, np.array([1, 2, 2]))
+    with pytest.raises(ValueError, match="colors must be 1 or 2"):
+        g.with_colors(np.array([2, 2, bad]))
 
 
 def test_with_colors_shares_adjacency():

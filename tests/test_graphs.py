@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, RandomBiased,
                            RandomHalf, _geometric_skips, _n_words,
                            _pairs_from_linear, _sample_pair_indices,
-                           degree_split,
-                           pack_color_mask, sample_gnp, split_seed,
-                           unpack_row)
+                           degree_split, pack_color_mask, sample_gnp,
+                           split_seed, unpack_row)
 
 
 def test_p_one_gives_complete_graph():
@@ -109,27 +108,22 @@ class _RecordingRng:
         return getattr(self.rng, name)
 
 
-@pytest.mark.parametrize("p", [1e-9, 1e-5, 0.01, 0.0215, 0.1, 0.3,
-                               float(np.nextafter(1 / 3, 0))])
-def test_inversion_skips_match_numpy_geometric(p):
-    # the sampler's bits rest on numpy's inversion formula below p = 1/3:
+@pytest.mark.parametrize("p,method", [
+    *((p, "standard_exponential") for p in
+      (1e-9, 1e-5, 0.01, 0.0215, 0.1, 0.3, float(np.nextafter(1 / 3, 0)))),
+    *((p, "geometric") for p in (1 / 3, 0.5, 0.9)),
+])
+def test_skips_match_numpy_geometric(p, method):
+    # below p = 1/3 the sampler's bits rest on numpy's inversion formula:
     # if a numpy release changes it, this fails before any digest does
     for seed in range(3):
         ours = _RecordingRng(np.random.default_rng(seed))
         theirs = np.random.default_rng(seed)
         got = _geometric_skips(ours, p, 5000, 1 << 62)
-        assert ours.calls == ["standard_exponential"]
+        assert ours.calls == [method]
         assert got.dtype == np.int64
         assert np.array_equal(got, theirs.geometric(p, 5000))
         assert ours.rng.bit_generator.state == theirs.bit_generator.state
-
-
-@pytest.mark.parametrize("p", [1 / 3, 0.5, 0.9])
-def test_skips_from_one_third_use_numpy_geometric(p):
-    ours = _RecordingRng(np.random.default_rng(5))
-    got = _geometric_skips(ours, p, 1000, 1 << 62)
-    assert ours.calls == ["geometric"]
-    assert np.array_equal(got, np.random.default_rng(5).geometric(p, 1000))
 
 
 @pytest.mark.parametrize("p", [1e-19, 1e-300, 5e-324])

@@ -230,11 +230,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scheme = None
-    if args.scheme == "random-half":
-        scheme = RandomHalf()
-    elif args.scheme == "random-biased":
-        scheme = RandomBiased(args.q1)
+    scheme = _scheme_from_args(args) if args.scheme else None
     cfg = ExperimentConfig(
         n_values=tuple(args.n_values), p_values=tuple(args.p_values),
         delta_values=None if scheme else tuple(args.delta_values or ()) or None,

@@ -10,11 +10,13 @@ count steps the cube d days.  r-hat and the s-sets are
 `structure.rhat_flags` and `s_sets_flags` called on the whole cube, the
 same kernels `compute_r_hat` and `compute_s_sets` call on one graph.
 
-A configuration's weight depends only on its edge count, so a statistic's
-integer values are tallied into one histogram per edge count and an answer
-costs at most E + 1 Fraction products.  Every answer is summed exactly at
-Fraction(p), which for a float p is its binary value: a rational p gets
-that exact Fraction, a float p gets it rounded once to the nearest float.
+A statistic keys each configuration by a small integer that does not
+depend on p.  The keys and their histogram by edge count are cached per
+(n, coloring, statistic) and shared by the exact answer, the float answer
+and `oracle_vs_mc`.  A configuration's weight depends only on its edge
+count, so an answer at any p is one weighted sum over the histogram,
+summed exactly at Fraction(p): a rational p gets that exact Fraction, a
+float p its binary value rounded once to the nearest float.
 
 The scalar kernels `rows_from_mask`, `step_mask`, `rhat_mask`,
 `s_sets_mask` and `mask_trajectory` work on one configuration; they are the
@@ -310,22 +312,30 @@ def _cube(n: int) -> _Cube:
 # ----------------------------------------------------------------------
 # queries
 
+class _OneColor:
+    """A statistic of the vertices of one color."""
+
+    def __post_init__(self):
+        if self.color not in (1, 2):
+            raise ValueError(f"color must be 1 or 2, got {self.color}")
+
+
 @dataclass(frozen=True)
-class WinProb:
+class WinProb(_OneColor):
     color: int = 1
     rule: UpdateRule = UpdateRule.STANDARD
     cap: Optional[int] = None
 
 
 @dataclass(frozen=True)
-class ExpectedCount:
+class ExpectedCount(_OneColor):
     day: int
     color: int = 1
     rule: UpdateRule = UpdateRule.STANDARD
 
 
 @dataclass(frozen=True)
-class VarCount:
+class VarCount(_OneColor):
     day: int
     color: int = 1
     rule: UpdateRule = UpdateRule.STANDARD
@@ -335,6 +345,13 @@ class VarCount:
 class MomentZ:
     k: int
 
+    def __post_init__(self):
+        if self.k < 0:
+            raise ValueError(f"MomentZ needs k >= 0, got {self.k}")
+
+
+_SET_PARTS = ("s1", "s2", "s_star", "i_g")
+
 
 @dataclass(frozen=True)
 class SetStat:
@@ -343,6 +360,12 @@ class SetStat:
     u: Optional[int] = None
     v: Optional[int] = None
     w: Optional[int] = None
+
+    def __post_init__(self):
+        if self.which not in _SET_PARTS + ("r_hat",):
+            raise ValueError(f"unknown set statistic: {self.which}")
+        if self.moment not in (1, 2):
+            raise ValueError("set-statistic moment must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -363,8 +386,8 @@ class OracleQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "colors", tuple(self.colors))
-        if self.n > MAX_ORACLE_N:
-            raise ValueError(f"oracle limited to n <= {MAX_ORACLE_N}")
+        if not 1 <= self.n <= MAX_ORACLE_N:
+            raise ValueError(f"oracle needs 1 <= n <= {MAX_ORACLE_N}, got {self.n}")
         if len(self.colors) != self.n:
             raise ValueError("colors must have one entry per vertex")
         if any(c not in (1, 2) for c in self.colors):
@@ -386,94 +409,62 @@ class OracleResult:
         return float(self.value)
 
 
-@dataclass(frozen=True)
-class _Table:
-    """A statistic over the cube: configuration k has value values[keys[k]]."""
-
-    keys: np.ndarray                      # small non-negative ints
-    values: tuple                         # int or Fraction per key
-    capped: Optional[np.ndarray] = None   # WinProb: the run hit its cap
-
-
-def _integer_table(keys: np.ndarray, capped: Optional[np.ndarray] = None) -> _Table:
-    keys = keys.astype(np.int64)
-    keys.flags.writeable = False
-    return _Table(keys, tuple(range(int(keys.max()) + 1)), capped)
-
-
-# oracle_vs_mc evaluates its query and then reads the same table.
+# Keys do not depend on p, so the exact answer, the float answer and
+# oracle_vs_mc of one query share one enumeration.
 @functools.lru_cache(maxsize=1)
-def _mask_values(q: OracleQuery) -> _Table:
-    """The queried statistic on every edge configuration."""
-    n = q.n
-    stat = q.statistic
-    c1m = sum(1 << i for i, c in enumerate(q.colors) if c == 1)
+def _keys(n: int, c1m: int, stat: Statistic) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge configuration's key and the (E + 1) x K histogram of the
+    keys by edge count.  WinProb keys a win as 1 and a capped run as 2,
+    MomentZ the biased day-1 count, SetStat raw^moment; counts key themselves.
+    """
     cube = _cube(n)
-
     if isinstance(stat, WinProb):
         winner, _, capped = cube.run(c1m, stat.rule, stat.cap)
-        capped.flags.writeable = False
-        return _integer_table(winner == stat.color, capped)
-
-    if isinstance(stat, (ExpectedCount, VarCount)):
+        keys = np.where(capped, 2, winner == stat.color)
+    elif isinstance(stat, (ExpectedCount, VarCount)):
         c1 = _popcount(cube.day(c1m, stat.rule, stat.day))
-        return _integer_table(c1 if stat.color == 1 else n - c1)
-
-    if isinstance(stat, MomentZ):
-        c1 = c1m.bit_count()
-        center = 2 * expected_biased_day1_count(c1, n - c1, Fraction(q.p))
-        c11 = _integer_table(_popcount(cube.step(c1m, UpdateRule.BIASED)))
-        return _Table(c11.keys, tuple((2 * c - center) ** stat.k
-                                      for c in c11.values))
-
-    if isinstance(stat, SetStat):
-        if stat.moment not in (1, 2):
-            raise ValueError("set-statistic moment must be 1 or 2")
+        keys = c1 if stat.color == 1 else n - c1
+    elif isinstance(stat, MomentZ):
+        keys = _popcount(cube.step(c1m, UpdateRule.BIASED))
+    elif isinstance(stat, SetStat):
         if stat.which == "r_hat":
-            w = stat.w if stat.w is not None else 0
-            raw = _popcount(cube.rhat(c1m, w))
+            raw = _popcount(cube.rhat(c1m, stat.w if stat.w is not None else 0))
         else:
-            u, v = focal_pair([c == 1 for c in q.colors], stat.u, stat.v)
-            pick = {"s1": 0, "s2": 1, "s_star": 2, "i_g": 3}.get(stat.which)
-            if pick is None:
-                raise ValueError(f"unknown set statistic: {stat.which}")
+            u, v = focal_pair([c1m >> i & 1 for i in range(n)], stat.u, stat.v)
+            pick = _SET_PARTS.index(stat.which)
             part = cube.s_sets(c1m, u, v)[pick]
             raw = part if pick == 3 else _popcount(part)
-        return _integer_table(raw.astype(np.int64) ** stat.moment)
+        keys = raw.astype(np.int64) ** stat.moment
+    else:
+        raise TypeError(f"unsupported statistic: {stat!r}")
+    keys = keys.astype(np.int64)
+    keys.flags.writeable = False
+    width = int(keys.max()) + 1
+    hist = np.bincount(cube.edges * width + keys,
+                       minlength=(cube.n_edges + 1) * width)
+    return keys, hist.reshape(cube.n_edges + 1, width)
 
-    raise TypeError(f"unsupported statistic: {stat!r}")
 
-
-def _integrate(q: OracleQuery, table: _Table) -> OracleResult:
-    """Expectation of the table (variance for VarCount) under G(n, p), summed
-    exactly at Fraction(q.p); a float p rounds it and cap_mass once."""
-    cube = _cube(q.n)
-    n_edges = cube.n_edges
-    weights = config_weights(Fraction(q.p), n_edges, range(n_edges + 1))
-    out = Fraction if q.exact else float
-
-    def mean(keys: np.ndarray, values: Sequence) -> Fraction:
-        # configurations of one edge count share a weight
-        hist = np.bincount(cube.edges * len(values) + keys,
-                           minlength=(n_edges + 1) * len(values))
-        hist = hist.reshape(n_edges + 1, len(values)).tolist()
-        return sum(w * sum(c * v for c, v in zip(row, values) if c)
-                   for w, row in zip(weights, hist))
-
-    total = mean(table.keys, table.values)
-    if isinstance(q.statistic, VarCount):
-        total = mean(table.keys, [v * v for v in table.values]) - total * total
-    details = {"exact": q.exact}
-    if table.capped is not None:
-        details["cap_mass"] = out(mean(table.capped.astype(np.int64), [0, 1]))
-    return OracleResult(out(total), details)
+def _table(q: OracleQuery) -> tuple[np.ndarray, np.ndarray, list]:
+    """The keys and key histogram of q's statistic, and each key's value."""
+    c1m = sum(1 << i for i, c in enumerate(q.colors) if c == 1)
+    keys, hist = _keys(q.n, c1m, q.statistic)
+    width = hist.shape[1]
+    if isinstance(q.statistic, WinProb):
+        values = [0, 1, 0][:width]
+    elif isinstance(q.statistic, MomentZ):
+        c1 = c1m.bit_count()
+        center = 2 * expected_biased_day1_count(c1, q.n - c1, Fraction(q.p))
+        values = [(2 * c - center) ** q.statistic.k for c in range(width)]
+    else:
+        values = list(range(width))
+    return keys, hist, values
 
 
 def oracle_eval(q: OracleQuery) -> OracleResult:
-    """Integrate the queried statistic over every edge configuration.
-
-    Rational p gives an exact Fraction; a float p gives the exact answer at
-    its binary value, rounded once to a float.
+    """The statistic's expectation under G(n, p), or for VarCount its
+    variance.  Rational p gives an exact Fraction; a float p gives the exact
+    answer at its binary value, rounded once to a float (cap_mass too).
     """
     if isinstance(q.statistic, FourierCoeff):
         table = fourier_coefficients(q.n, q.colors, q.statistic.v, q.p,
@@ -483,7 +474,20 @@ def oracle_eval(q: OracleQuery) -> OracleResult:
             "scaled": table.coefficient_scaled(list(q.statistic.s)),
             "exact": q.exact,
         })
-    return _integrate(q, _mask_values(q))
+    _, hist, values = _table(q)
+    n_edges = len(hist) - 1
+    # configurations of one edge count share a weight
+    weights = config_weights(Fraction(q.p), n_edges, range(n_edges + 1))
+    mass = [sum(w * c for w, c in zip(weights, col) if c)
+            for col in hist.T.tolist()]
+    out = Fraction if q.exact else float
+    total = sum(m * v for m, v in zip(mass, values))
+    if isinstance(q.statistic, VarCount):
+        total = sum(m * v * v for m, v in zip(mass, values)) - total * total
+    details = {"exact": q.exact}
+    if isinstance(q.statistic, WinProb):
+        details["cap_mass"] = out(sum(mass[2:]))
+    return OracleResult(out(total), details)
 
 
 # ----------------------------------------------------------------------
@@ -499,29 +503,24 @@ class OracleMcAgreement:
     within_4se: bool
 
 
-def _sample_masks(rng: np.random.Generator, n_edges: int, p: float,
-                  trials: int) -> np.ndarray:
-    bits = rng.random((trials, n_edges)) < p
-    powers = (np.uint64(1) << np.arange(n_edges, dtype=np.uint64))
-    return bits.astype(np.uint64) @ powers
-
-
 def oracle_vs_mc(q: OracleQuery, trials: int,
                  master_seed: int = 0) -> OracleMcAgreement:
     """Monte Carlo estimate over sampled configurations vs the exact value.
 
-    The sampler draws fresh edge configurations and looks each one up in
-    the per-configuration table the exact value was integrated from.
+    The sampler draws fresh edge configurations and maps each one's key
+    through the values the exact answer was integrated with.
     """
     if isinstance(q.statistic, FourierCoeff):
         raise ValueError("Monte Carlo comparison is for graph statistics")
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2, got {trials}")
     oracle_value = float(oracle_eval(q).value)
-    values = _mask_values(q)
-    table = np.asarray([float(x) for x in values.values])[values.keys]
+    keys, hist, values = _table(q)
+    table = np.asarray([float(x) for x in values])[keys]
     rng = np.random.default_rng(np.random.SeedSequence(master_seed))
-    n_edges = q.n * (q.n - 1) // 2
-    masks = _sample_masks(rng, n_edges, float(q.p), trials)
-    samples = table[masks]
+    # a sampled edge bitmask has bit k set with probability p
+    bits = rng.random((trials, len(hist) - 1)) < float(q.p)
+    samples = table[bits @ (1 << np.arange(len(hist) - 1))]
 
     if isinstance(q.statistic, VarCount):
         est = float(np.var(samples, ddof=1))

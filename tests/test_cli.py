@@ -87,6 +87,17 @@ def test_oracle_rejects_negative_day(capsys):
     assert io.out == "" and "day must be at least 0" in io.err
 
 
+@pytest.mark.parametrize("stat", [
+    ["expcount", "--color", "3"], ["winprob", "--color", "0"],
+    ["momentz", "--k", "-1"]])
+def test_oracle_rejects_bad_statistic_fields(capsys, stat):
+    code = run_cli(["oracle", "--n", "4", "--colors", "1122", "--p", "1/2",
+                    "--stat"] + stat)
+    assert code == 1
+    io = capsys.readouterr()
+    assert io.out == "" and "error:" in io.err
+
+
 def test_sets_subcommand(tmp_path, capsys):
     code = run_cli(["sets", "--n", "30", "--p", "0.2", "--delta", "2",
                     "--seed", "4", "--w", "0"])

@@ -13,7 +13,7 @@ from majlab.dynamics import UpdateRule
 from majlab.fourier import edge_list, fourier_coefficients
 from majlab.graphs import FixedGap, GraphParams, sample_gnp, split_seed
 from majlab.oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
-                           SetStat, VarCount, WinProb, _cube,
+                           SetStat, VarCount, WinProb, _cube, _keys,
                            enumerate_trial_quantities, exhaustive_identity_scan,
                            mask_trajectory, oracle_eval, oracle_vs_mc,
                            rhat_mask, rows_from_mask, s_sets_mask, step_mask)
@@ -238,6 +238,22 @@ def test_day_and_cap_queries_reject_values_below_their_floor(stat, match):
         oracle_eval(OracleQuery(3, Fraction(1, 2), (1, 1, 2), stat))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WinProb(color=0),
+    lambda: WinProb(color=3),
+    lambda: ExpectedCount(day=1, color=3),
+    lambda: VarCount(day=1, color=0),
+    lambda: MomentZ(k=-1),
+    lambda: OracleQuery(0, Fraction(1, 2), (), WinProb()),
+], ids=["winprob-color0", "winprob-color3", "expcount-color3",
+        "varcount-color0", "momentz-k-1", "n0"])
+def test_statistic_fields_checked_on_construction(build):
+    # a color other than 1 or 2 used to answer for color 2 or for neither,
+    # k = -1 a reciprocal moment, and n = 0 a probability of 1
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_query_accepts_p_zero_and_one():
     # no edges: a fixed point; the triangle: the majority wins on day 1
     for p, value in ((0, 0), (0.0, 0.0), (1, 1), (Fraction(1), 1), (1.0, 1.0)):
@@ -253,6 +269,34 @@ def test_oracle_vs_mc_smoke():
     assert ag.within_4se
     with pytest.raises(ValueError):
         oracle_vs_mc(OracleQuery(3, 0.5, (1, 1, 2), FourierCoeff(0, ())), 10)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_oracle_vs_mc_needs_two_trials(trials):
+    # one sample has no standard error, none no estimate
+    q = OracleQuery(4, 0.5, (1, 1, 2, 2), ExpectedCount(day=1))
+    with pytest.raises(ValueError, match="trials must be at least 2"):
+        oracle_vs_mc(q, trials)
+
+
+@pytest.mark.parametrize("stat", [
+    WinProb(cap=1), ExpectedCount(day=2), VarCount(day=1), MomentZ(k=2),
+    SetStat("s_star", 2)], ids=lambda s: type(s).__name__)
+def test_one_enumeration_serves_every_p_and_the_mc_check(stat):
+    _keys.cache_clear()
+    colors = (1, 1, 1, 2, 2)
+    for p in (Fraction(1, 3), 1 / 3, Fraction(1, 2), 0.5):
+        got = oracle_eval(OracleQuery(5, p, colors, stat))
+        if isinstance(p, float):
+            exact = oracle_eval(OracleQuery(5, Fraction(p), colors, stat))
+            assert type(got.value) is float
+            assert got.value == float(exact.value)
+            if isinstance(stat, WinProb):
+                assert got.details["cap_mass"] == \
+                    float(exact.details["cap_mass"])
+    assert oracle_vs_mc(OracleQuery(5, 0.5, colors, stat), 2_000,
+                        master_seed=3).within_4se
+    assert _keys.cache_info().misses == 1
 
 
 def test_identity_scan_small():

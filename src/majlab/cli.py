@@ -35,13 +35,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_prob(text: str) -> Fraction:
-    """Probabilities given as 'a/b' or decimal strings parse exactly."""
-    return Fraction(text)
-
-
-def _rule(name: str) -> UpdateRule:
-    return UpdateRule(name)
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _scheme_from_args(args) -> object:
@@ -60,8 +57,9 @@ def _add_common(sp, *, seed=True, workers=False, fmt=False):
     if seed:
         sp.add_argument("--seed", type=int, default=0)
     if workers:
-        sp.add_argument("--workers", type=int,
-                        default=int(os.environ.get("MAJLAB_WORKERS", "1")))
+        sp.add_argument("--workers", type=_positive_int,
+                        default=os.environ.get("MAJLAB_WORKERS", "1"),
+                        help="worker processes (default: MAJLAB_WORKERS or 1)")
     if fmt:
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -215,7 +213,7 @@ def _cmd_simulate(args) -> int:
     scheme = _scheme_from_args(args)
     g = sample_gnp(GraphParams(args.n, args.p, args.seed), scheme)
     cap = args.cap if args.cap is not None else default_cap(args.n, args.p)
-    trace = run(g, _rule(args.rule), cap)
+    trace = run(g, UpdateRule(args.rule), cap)
     if args.trace:
         with open(args.trace, "w") as fh:
             if args.format == "csv":
@@ -234,7 +232,7 @@ def _cmd_sweep(args) -> int:
     cfg = ExperimentConfig(
         n_values=tuple(args.n_values), p_values=tuple(args.p_values),
         delta_values=None if scheme else tuple(args.delta_values or ()) or None,
-        scheme=scheme, rule=_rule(args.rule), trials=args.trials,
+        scheme=scheme, rule=UpdateRule(args.rule), trials=args.trials,
         master_seed=args.seed, cap=args.cap, workers=args.workers,
         results_path=args.results, summary_path=args.summary)
     result = run_sweep(cfg)
@@ -248,7 +246,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    res = threshold_scan(args.n, args.p, _rule(args.rule), args.trials,
+    res = threshold_scan(args.n, args.p, UpdateRule(args.rule), args.trials,
                          args.target, master_seed=args.seed,
                          workers=args.workers)
     print(json.dumps({
@@ -271,8 +269,9 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 def _cmd_oracle(args) -> int:
     colors = tuple(int(c) for c in args.colors)
-    p = float(_parse_prob(args.p)) if args.as_float else _parse_prob(args.p)
-    rule = _rule(args.rule)
+    p = Fraction(args.p)  # 'a/b' and decimal strings parse exactly
+    p = float(p) if args.as_float else p
+    rule = UpdateRule(args.rule)
     if args.stat == "winprob":
         stat = WinProb(color=args.color, rule=rule, cap=args.cap)
     elif args.stat == "expcount":

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -54,8 +54,20 @@ def config_weights(p, n_edges: int, edges) -> np.ndarray:
 
     float64 for a float p; Fractions in an object array for a Fraction p.
     """
-    e = np.asarray(edges)
-    return _powers(p, e) * _powers(1 - p, n_edges - e)
+    e = np.arange(n_edges + 1)
+    return (_powers(p, e) * _powers(1 - p, n_edges - e))[np.asarray(edges)]
+
+
+def _masses(hist: np.ndarray, p) -> list[Fraction]:
+    """Exact G(n, p) mass of each column of an (E + 1) x K histogram of
+    configurations by edge count.  At p = a/d, edge count e weighs
+    a^e (d - a)^(E - e) / d^E: a column is one integer sum over d^E."""
+    p = Fraction(p)
+    a, d = p.numerator, p.denominator
+    n_edges = len(hist) - 1
+    weights = [a**e * (d - a) ** (n_edges - e) for e in range(n_edges + 1)]
+    return [Fraction(sum(w * c for w, c in zip(weights, col) if c), d**n_edges)
+            for col in hist.T.tolist()]
 
 
 def _set_sizes(n_bits: int) -> np.ndarray:
@@ -82,10 +94,9 @@ def _keep_flags(m: int, colors: Sequence[int], v: int) -> np.ndarray:
     return takes_color1(d1 - d2, was1, UpdateRule.BIASED) == was1
 
 
-def _z_powers(m: int, colors: Sequence[int], v: int, mu_v,
-              power: int) -> np.ndarray:
-    """Z_v^power on every configuration; exact for a Fraction mu_v."""
-    signs = np.where(_keep_flags(m, colors, v), np.int8(1), np.int8(-1))
+def _z_powers(keep: np.ndarray, mu_v, power: int) -> np.ndarray:
+    """Z_v^power per configuration from v's keep flags; exact for a Fraction mu_v."""
+    signs = np.where(keep, np.int8(1), np.int8(-1))
     if isinstance(mu_v, Fraction):
         signs = signs.astype(object)
     return (signs - mu_v) ** power
@@ -132,6 +143,8 @@ class FourierTable:
     mu_v: Union[float, Fraction]
     scaled: Union[list, np.ndarray]  # indexed by the subset bitmask S
     max_set_size: int
+    # per configuration: does v keep its color on biased day 1
+    keep: np.ndarray = field(repr=False, compare=False)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -201,14 +214,13 @@ class FourierTable:
     def second_moment(self) -> Union[float, Fraction]:
         """E[(Z_v^power)^2] straight from the definition (Parseval's mate)."""
         w = config_weights(self.p, self.n_edges, _set_sizes(self.n_edges))
-        z = _z_powers(self.m, self.colors, self.v, self.mu_v, self.power)
+        z = _z_powers(self.keep, self.mu_v, self.power)
         total = np.sum(w * z ** 2)
         return total if self.exact else float(total)
 
     def function_values(self) -> Union[list, np.ndarray]:
         """Z_v^power on every configuration, recomputed from the definition."""
-        return self._listed(
-            _z_powers(self.m, self.colors, self.v, self.mu_v, self.power))
+        return self._listed(_z_powers(self.keep, self.mu_v, self.power))
 
     def reconstruct_all(self) -> Union[list, np.ndarray]:
         """Evaluate sum_S coefficient(S) Phi_S on every configuration at once."""
@@ -250,8 +262,9 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
         raise ValueError(f"p must lie in (0,1), got {p}")
     mu1, mu2 = compute_mu(c1, c2, q)
     mu_v = mu1 if colors[v] == 1 else mu2
+    keep = _keep_flags(m, colors, v)
     a = (config_weights(q, n_edges, _set_sizes(n_edges))
-         * _z_powers(m, colors, v, mu_v, power))
+         * _z_powers(keep, mu_v, power))
     scaled = _forward(a, n_edges, q)
     return FourierTable(m, colors, v, q, power, exact, mu_v,
-                        scaled.tolist() if exact else scaled, max_set_size)
+                        scaled.tolist() if exact else scaled, max_set_size, keep)

@@ -82,6 +82,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if (self.delta_values is None) == (self.scheme is None):
             raise ValueError("exactly one of delta_values or scheme is required")
         if self.cap is None:

@@ -14,9 +14,10 @@ A statistic keys each configuration by a small integer that does not
 depend on p.  The keys and their histogram by edge count are cached per
 (n, coloring, statistic) and shared by the exact answer, the float answer
 and `oracle_vs_mc`.  A configuration's weight depends only on its edge
-count, so an answer at any p is one weighted sum over the histogram,
-summed exactly at Fraction(p): a rational p gets that exact Fraction, a
-float p its binary value rounded once to the nearest float.
+count, so an answer at any p sums the histogram as integer masses over one
+denominator per query (`fourier._masses`): at Fraction(p) = a/d, edge
+count e weighs a^e (d - a)^(E - e) / d^E.  A rational p gets that exact
+Fraction, a float p its binary value rounded once to the nearest float.
 
 The scalar kernels `rows_from_mask`, `step_mask`, `rhat_mask`,
 `s_sets_mask` and `mask_trajectory` work on one configuration; they are the
@@ -35,7 +36,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import UpdateRule, takes_color1
-from .fourier import config_weights, edge_list, fourier_coefficients
+from .fourier import _masses, config_weights, edge_list, fourier_coefficients
 from .stats import compute_mu_exact, expected_biased_day1_count, is_exact
 from .structure import focal_pair, rhat_flags, s_sets_flags
 
@@ -475,11 +476,7 @@ def oracle_eval(q: OracleQuery) -> OracleResult:
             "exact": q.exact,
         })
     _, hist, values = _table(q)
-    n_edges = len(hist) - 1
-    # configurations of one edge count share a weight
-    weights = config_weights(Fraction(q.p), n_edges, range(n_edges + 1))
-    mass = [sum(w * c for w, c in zip(weights, col) if c)
-            for col in hist.T.tolist()]
+    mass = _masses(hist, q.p)
     out = Fraction if q.exact else float
     total = sum(m * v for m, v in zip(mass, values))
     if isinstance(q.statistic, VarCount):
@@ -566,8 +563,8 @@ def exhaustive_identity_scan(n: int,
     * s1 / s2 / s_star partition the non-focal vertices for every color-1 pair;
     * the day-1 margin at u decomposes through the s-sets for non-adjacent
       color-1 pairs;
-    * Z_v + mu_v is the +-1 keep indicator of biased day 1, and the Z's sum
-      (signed by the initial color) to 2|C_{1,1}| - 2 E|C_{1,1}| exactly.
+    * unless the coloring is unanimous, each vertex v keeps its color on
+      biased day 1 with exact probability (1 + mu_v)/2.
 
     Colorings are visited one at a time, each against the whole cube.
     """
@@ -580,18 +577,18 @@ def exhaustive_identity_scan(n: int,
     size = len(rows)
     scan = IdentityScan(n, 0, 0, 0, 0, 0)
 
-    def note(ok: np.ndarray, label: str, c1m: int, where: str = "") -> None:
-        room = _MAX_VIOLATIONS - len(scan.violations)
-        for mask in np.flatnonzero(~ok)[:max(room, 0)]:
-            scan.violations.append(
-                f"{label}: n={n} colors={c1m:0{n}b} mask={mask}{where}")
+    # an array check fails per configuration, an exact check (a bool) once
+    def note(ok, label: str, c1m: int, where: str = "") -> None:
+        bad = np.flatnonzero(~ok) if isinstance(ok, np.ndarray) else [None] * (not ok)
+        for mask in bad[:max(_MAX_VIOLATIONS - len(scan.violations), 0)]:
+            at = "" if mask is None else f" mask={mask}"
+            scan.violations.append(f"{label}: n={n} colors={c1m:0{n}b}{at}{where}")
 
     def pc(masks: np.ndarray) -> np.ndarray:
         return _popcount(masks).astype(np.int64)
 
     for c1m in range(1 << n):
         c1 = c1m.bit_count()
-        c2 = n - c1
         scan.combos += size
         m1 = cube.step(c1m, UpdateRule.STANDARD)
         b1 = cube.step(c1m, UpdateRule.BIASED)
@@ -615,28 +612,16 @@ def exhaustive_identity_scan(n: int,
                    + ig.astype(np.int64))
             note(~apart | (lhs == rhs), "day2", c1m, f" uv=({u},{v})")
         if 0 < c1 < n:
-            mu1, mu2 = compute_mu_exact(c1, c2, p)
-            center = 2 * expected_biased_day1_count(c1, c2, p)
-            signed_keeps = np.zeros(size, dtype=np.int64)
+            mu1, mu2 = compute_mu_exact(c1, n - c1, p)
+            flipped = b1 ^ c1m  # bit v: v changed its color on biased day 1
             for v in range(n):
                 scan.centering_checks += size
-                was1 = c1m >> v & 1
-                kept = (b1 >> v & 1) == was1
-                mu_v = mu1 if was1 else mu2
-                # Z_v = +-1 - mu_v takes one exact value per keep outcome
-                for k in np.unique(kept):
-                    z = (1 if k else -1) - mu_v
-                    if z + mu_v not in (-1, 1):
-                        note(kept != k, "centering", c1m, f" v={v}")
-                signed_keeps += np.where(kept, 1, -1) * (1 if was1 else -1)
-            # sum_v L(v) Z_v = signed_keeps - (mu1 c1 - mu2 c2), checked
-            # exactly once per distinct (signed_keeps, |C_{1,1}|)
-            key = (signed_keeps + n) * (n + 1) + pc(b1)
-            for k in np.unique(key):
-                keeps, c11 = divmod(int(k), n + 1)
-                z_total = keeps - n - (mu1 * c1 - mu2 * c2)
-                if z_total != 2 * c11 - center:
-                    note(key != k, "aggregate-z", c1m)
+                hist = np.bincount(2 * cube.edges + (flipped >> v & 1),
+                                   minlength=2 * (cube.n_edges + 1))
+                kept = _masses(hist.reshape(-1, 2), p)[0]
+                want = (1 + (mu1 if c1m >> v & 1 else mu2)) / 2
+                note(kept == want, "centering", c1m,
+                     f" v={v} P(keep)={kept} != {want}")
     return scan
 
 

@@ -226,6 +226,20 @@ def test_invalid_arguments_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bad", ["abc", "0", "-5", "2.5"])
+@pytest.mark.parametrize("command", [["sweep", "--delta", "1"], ["scan"]])
+def test_bad_worker_count_exits_2(monkeypatch, capsys, command, bad):
+    args = command + ["--n", "20", "--p", "0.3", "--trials", "5"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--workers", bad])
+    assert exc.value.code == 2
+    monkeypatch.setenv("MAJLAB_WORKERS", bad)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_sweep_into_foreign_results_exit_2(tmp_path, capsys):
     results = tmp_path / "results.jsonl"
     base = ["sweep", "--n", "20", "--p", "0.3", "--delta", "1",

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from majlab.fourier import edge_list, fourier_coefficients
+from majlab import fourier
+from majlab.fourier import _masses, config_weights, edge_list, fourier_coefficients
 
 COLORINGS = {
     2: [(1, 2)],
@@ -49,6 +50,35 @@ def test_parseval_equals_one_minus_mu_sq():
                     t = fourier_coefficients(m, colors, v, p)
                     assert t.parseval_sum() == 1 - t.mu_v**2
                     assert t.second_moment() == 1 - t.mu_v**2
+
+
+def test_function_values_reuse_the_tables_keep_flags(monkeypatch):
+    t = fourier_coefficients(4, (1, 1, 2, 2), 0, Fraction(1, 4), power=2)
+    values, second = t.function_values(), t.second_moment()
+
+    def rebuilt(*args):
+        raise AssertionError("keep flags rebuilt after the table was made")
+
+    monkeypatch.setattr(fourier, "_keep_flags", rebuilt)
+    assert t.function_values() == values and t.second_moment() == second
+
+
+@pytest.mark.parametrize("p", [0, 1, Fraction(1, 3), Fraction(7, 10), 0.3, 1.0])
+def test_config_weights_and_masses_match_the_formula(p):
+    n_edges = 6
+    q = Fraction(p)
+    edges = np.array([3, 0, 6, 6, 2, 1])
+    want = [q**e * (1 - q) ** (n_edges - e) for e in edges.tolist()]
+    got = config_weights(q, n_edges, edges)
+    assert got.dtype == object and list(got) == want
+    f = float(p)
+    direct = (np.power(f, edges.astype(float))
+              * np.power(1 - f, (n_edges - edges).astype(float)))
+    assert config_weights(f, n_edges, edges).tolist() == direct.tolist()
+    # a (edge count x key) histogram: each column's mass is its weighted sum
+    hist = np.zeros((n_edges + 1, 3), dtype=np.int64)
+    np.add.at(hist, (edges, [0, 1, 1, 2, 2, 2]), 1)
+    assert _masses(hist, p) == [want[0], want[1] + want[2], sum(want[3:])]
 
 
 def test_pointwise_reconstruction_exact():

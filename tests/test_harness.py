@@ -35,6 +35,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_values=(100,), p_values=(0.001,),
                          delta_values=(1,))  # np <= 1 without explicit cap
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(n_values=(10,), p_values=(0.5,), delta_values=(1,),
+                             workers=workers)
 
 
 def test_counts_partition_trials():
@@ -257,6 +261,10 @@ def test_threshold_scan_opens_one_pool(monkeypatch):
 def test_threshold_scan_validation():
     with pytest.raises(ValueError):
         threshold_scan(20, 0.5, UpdateRule.STANDARD, 10, target_prob=0.4)
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers"):
+            threshold_scan(20, 0.5, UpdateRule.STANDARD, 10, 0.8,
+                           workers=workers)
 
 
 def test_sweep_win_rate_matches_oracle():

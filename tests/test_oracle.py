@@ -305,6 +305,15 @@ def test_identity_scan_small():
     assert scan.combos == 64
 
 
+def test_identity_scan_catches_wrong_centering_constants(monkeypatch):
+    # the standard keep margin makes compute_mu_exact give wrong biased mu's,
+    # while the cube still steps the biased rule
+    monkeypatch.setattr("majlab.stats.keep_margin", lambda rule: 0)
+    scan = exhaustive_identity_scan(4)
+    assert not scan.clean
+    assert any(v.startswith("centering: ") for v in scan.violations)
+
+
 def test_golden_values():
     data = json.loads(GOLDEN.read_text())
     stats = {

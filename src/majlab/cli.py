@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -64,31 +65,33 @@ def _add_common(sp, *, seed=True, workers=False, fmt=False):
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _apply_config_file(parser, argv):
-    """Pre-parse --config and install its entries as subcommand defaults.
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the --config file's entries as flags right after the
+    subcommand, so each is parsed like the same flag on the command line.
 
-    Keys are flag names without the leading dashes; explicitly given flags
-    still win because they are parsed after the defaults are replaced.
+    Keys are flag names without the leading dashes; a list is joined with
+    commas, true is a bare switch, and false or null leaves the flag out.
+    Explicitly given flags come later, so they win.
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", type=str, default=None)
     known, rest = probe.parse_known_args(argv)
-    if not known.config:
-        return
     command = next((tok for tok in rest if not tok.startswith("-")), None)
-    sub = parser._majlab_subparsers.get(command)
-    if sub is None:
-        raise ValueError(f"--config given but no subcommand recognized")
-    dest_of = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            dest_of[opt.lstrip("-")] = action.dest
+    if not known.config or command is None:
+        return argv
     with open(known.config) as fh:
-        defaults = json.load(fh)
-    unknown = [k for k in defaults if k not in dest_of]
-    if unknown:
-        raise ValueError(f"unknown config keys for '{command}': {unknown}")
-    sub.set_defaults(**{dest_of[k]: v for k, v in defaults.items()})
+        entries = json.load(fh)
+    if not isinstance(entries, dict):
+        raise ValueError("--config must hold a JSON object of flag values")
+    flags = []
+    for key, value in entries.items():
+        if value is True:
+            flags.append(f"--{key}")
+        elif value is not False and value is not None:
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            flags.append(f"--{key}={text}")
+    at = argv.index(command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -105,18 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Majority dynamics on G(n,p): simulation, exact small-n "
                     "oracle, structural sets, and verification reports.")
     ap.add_argument("--version", action="version", version=f"majlab {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-    ap._majlab_subparsers = sub.choices
+    # flags match only in full, so a --config key and its flag take the same
+    # spellings and a prefix is never resolved to some longer flag
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     sp = sub.add_parser("simulate", help="run one trajectory, write its trace")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--scheme", choices=("fixed-gap", "random-half", "random-biased"),
                     default="fixed-gap")
     sp.add_argument("--q1", type=float, default=0.5)
     sp.add_argument("--rule", choices=("standard", "biased"), default="standard")
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=_positive_int, default=None)
     sp.add_argument("--trace", type=str, default=None, help="trace output path")
     _add_common(sp, fmt=True)
     sp.set_defaults(func=_cmd_simulate)
@@ -129,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=None)
     sp.add_argument("--q1", type=float, default=0.5)
     sp.add_argument("--rule", choices=("standard", "biased"), default="standard")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--trials", type=_positive_int, default=100)
+    sp.add_argument("--cap", type=_positive_int, default=None)
     sp.add_argument("--results", type=str, default=None,
                     help="results.jsonl path (appended; enables resume)")
     sp.add_argument("--summary", type=str, default=None, help="summary.csv path")
@@ -138,16 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("scan", help="bisect for the smallest winning gap")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--rule", choices=("standard", "biased"), default="standard")
-    sp.add_argument("--trials", type=int, default=400)
+    sp.add_argument("--trials", type=_positive_int, default=400)
     sp.add_argument("--target", type=float, default=0.9)
     _add_common(sp, workers=True)
     sp.set_defaults(func=_cmd_scan)
 
     sp = sub.add_parser("oracle", help="exact small-n statistics by enumeration")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--colors", type=str, required=True,
                     help="per-vertex colors, e.g. 112")
     sp.add_argument("--p", type=str, required=True,
@@ -167,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--edges", type=str, default="",
                     help="edge set for fourier, e.g. 0-1,0-2")
     sp.add_argument("--rule", choices=("standard", "biased"), default="standard")
-    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--cap", type=_positive_int, default=None)
     sp.add_argument("--float", action="store_true", dest="as_float",
                     help="force float evaluation")
     _add_common(sp, seed=False)
@@ -176,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sets", help="structural sets of a colored graph")
     sp.add_argument("--graph", type=str, default=None,
                     help="graph JSON path; otherwise a graph is sampled")
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=_positive_int, default=None)
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--u", type=int, default=None)
@@ -194,10 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="quantitative-bound report")
     sp.add_argument("target", choices=("lemmas",))
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--n", type=_positive_int, default=200)
     sp.add_argument("--p", type=float, default=0.2)
     sp.add_argument("--delta", type=float, default=5)
-    sp.add_argument("--trials", type=int, default=400)
+    sp.add_argument("--trials", type=_positive_int, default=400)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--d-const", type=float, default=1.0,
                     help="deviation scale of the day-1 tail record")
@@ -355,13 +360,12 @@ def _cmd_report(args) -> int:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
+        argv = _with_config(argv)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ForeignResultsError as exc:

@@ -8,7 +8,8 @@ dynamics for all of them with a few `np.bitwise_count` calls.  A run keeps
 only each configuration's winner, day of unanimity and cap hit; a day-d
 count steps the cube d days.  r-hat and the s-sets are
 `structure.rhat_flags` and `s_sets_flags` called on the whole cube, the
-same kernels `compute_r_hat` and `compute_s_sets` call on one graph.
+same kernels `compute_r_hat` and `compute_s_sets` call on one graph, and
+the exact bound report's columns are `stats.trial_record` of the cube.
 
 A statistic keys each configuration by a small integer that does not
 depend on p.  The keys and their histogram by edge count are cached per
@@ -37,7 +38,8 @@ import numpy as np
 
 from .dynamics import UpdateRule, takes_color1
 from .fourier import _masses, config_weights, edge_list, fourier_coefficients
-from .stats import compute_mu_exact, expected_biased_day1_count, is_exact
+from .stats import (compute_mu_exact, expected_biased_day1_count, is_exact,
+                    trial_record)
 from .structure import focal_pair, rhat_flags, s_sets_flags
 
 __all__ = [
@@ -630,39 +632,17 @@ def exhaustive_identity_scan(n: int,
 
 def enumerate_trial_quantities(n: int, c1: int, p: float,
                                cap: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-configuration report quantities for the canonical split coloring
-    [1]*c1 + [2]*(n-c1), plus the configuration weights.
+    """`stats.trial_record` of every configuration under the canonical
+    split coloring [1]*c1 + [2]*(n-c1), plus the configuration weights.
 
     G(n,p) is exchangeable over vertices, so fixing the coloring loses no
-    generality.  Focal vertices: first/second color-1, first color-2.
+    generality.
     """
     if c1 < 2 or n - c1 < 1:
         raise ValueError("need at least two color-1 and one color-2 vertex")
     cube = _cube(n)
-    c1m = (1 << c1) - 1
-    v1, v2, u, v = 0, c1, 0, 1
-    std = UpdateRule.STANDARD
-    d1 = cube.step(c1m, std)
-    d2 = cube.step(d1, std)
-    d3 = cube.step(d2, std)
-    winner, day, _ = cube.run(c1m, std)
+    winner, day, _ = cube.run((1 << c1) - 1, UpdateRule.STANDARD)
     win1 = (winner == 1) & (day <= cap)
-    s1, s2, ss, ig = cube.s_sets(c1m, u, v)
-    cols = {
-        "c11_std": _popcount(d1),
-        "c11_biased": _popcount(cube.step(c1m, UpdateRule.BIASED)),
-        "rhat1": _popcount(cube.rhat(c1m, v1)),
-        "rhat2": _popcount(cube.rhat(c1m, v2)),
-        "c12": _popcount(d2),
-        "c23": n - _popcount(d3),
-        "win1": win1,
-        "win_day": np.where(win1, day, np.nan),
-        "s1": _popcount(s1),
-        "s2": _popcount(s2),
-        "ss": _popcount(ss),
-        "ig": ig,
-        "v1_in_c12": d2 >> v1 & 1,
-        "v2_in_c12": d2 >> v2 & 1,
-    }
-    cols = {name: col.astype(np.float64) for name, col in cols.items()}
+    cols = trial_record(lambda flags: cube.margins(cube._pack(flags)),
+                        cube._neighbours, np.arange(n) < c1, win1, day)
     return cols, config_weights(p, cube.n_edges, cube.edges)

@@ -16,13 +16,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import (Unanimity, UpdateRule, default_cap, keep_margin, run,
-                       step)
-from .graphs import (ColoredGraph, FixedGap, GraphParams, sample_gnp,
-                     split_seed)
+from .dynamics import (Unanimity, UpdateRule, default_cap, keep_margin,
+                       margins, run, step, takes_color1)
+from .graphs import (ColoredGraph, FixedGap, GraphParams, pack_color_mask,
+                     sample_gnp, split_seed, unpack_row)
 from .probability import (BERRY_ESSEEN_C, bindiff_cdf, bindiff_geq_exact,
                           normal_pdf)
-from .structure import compute_r_hat, compute_s_sets
+# perfbench/tracer.py wraps compute_r_hat and compute_s_sets in this module's
+# namespace, so both names stay bound here though the report no longer calls them.
+from .structure import (compute_r_hat, compute_s_sets, focal_pair, rhat_flags,
+                        s_sets_flags)
 
 __all__ = [
     "ThresholdParams",
@@ -38,6 +41,7 @@ __all__ = [
     "double_factorial",
     "LemmaRecord",
     "LemmaReport",
+    "trial_record",
     "lemma_report",
     "LEMMA_ANCHORS",
 ]
@@ -279,46 +283,61 @@ def _desk_p_range(n: int, p: float) -> bool:
     return math.log(n) / n <= p <= 0.25
 
 
+def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.ndarray]:
+    """The report's 14 per-graph quantities, in float64.
+
+    margin_of(flags): (..., n) d1 - d2 of every vertex when `flags` are the
+    color-1 vertices; neighbours(x): (..., n) neighbour flags of x; color1:
+    (n,) day-0 color-1 flags; win1, win_day: whether color 1 won the
+    standard run within its cap, and on which day (read only where it won).
+    The leading axes may index a batch of graphs.  Focal vertices: v1 = u
+    and v of `focal_pair`, v2 the first color-2 vertex.
+    """
+    std = UpdateRule.STANDARD
+    m0 = margin_of(color1)
+    day1 = takes_color1(m0, color1, std)
+    day2 = takes_color1(margin_of(day1), day1, std)
+    day3 = takes_color1(margin_of(day2), day2, std)
+    u, v = focal_pair(color1)
+    v2 = int(np.flatnonzero(~color1)[0])
+    s1, s2, ss = s_sets_flags(m0, color1, neighbours, u, v)
+
+    def count(flags):  # einsum sums a short last axis faster than sum()
+        return np.einsum("...i->...", flags, dtype=np.float64)
+
+    cols = {
+        "c11_std": count(day1),
+        "c11_biased": count(takes_color1(m0, color1, UpdateRule.BIASED)),
+        "rhat1": count(rhat_flags(m0, color1, neighbours, u)),
+        "rhat2": count(rhat_flags(m0, color1, neighbours, v2)),
+        "c12": count(day2),
+        "c23": len(color1) - count(day3),
+        "win1": win1,
+        "win_day": np.where(win1, win_day, np.nan),
+        "s1": count(s1),
+        "s2": count(s2),
+        "ss": count(ss),
+        "ig": count(ss & neighbours(u) & neighbours(v)),
+        "v1_in_c12": day2[..., u],
+        "v2_in_c12": day2[..., v2],
+    }
+    return {name: np.asarray(col, dtype=np.float64) for name, col in cols.items()}
+
+
 def _gather_trial_quantities(n: int, p: float, delta, trials: int,
                              master_seed: int, cap: int) -> dict[str, np.ndarray]:
-    """One pass of sampled graphs; every report row is built from these."""
+    """`trial_record` of `trials` sampled graphs, one row per graph."""
     scheme = FixedGap.from_delta(delta)
-    cols = {
-        name: np.empty(trials)
-        for name in ("c11_std", "c11_biased", "rhat1", "rhat2", "c12", "c23",
-                     "win1", "win_day", "s1", "s2", "ss", "ig",
-                     "v1_in_c12", "v2_in_c12")
-    }
+    records = []
     for t in range(trials):
         g = sample_gnp(GraphParams(n, p, split_seed(master_seed, t)), scheme)
-        is_c1 = g.colors == 1
-        ones = np.flatnonzero(is_c1)
-        twos = np.flatnonzero(~is_c1)
-        v1, v2 = int(ones[0]), int(twos[0])
-        u, v = int(ones[0]), int(ones[1])
-        day1 = step(g, UpdateRule.STANDARD)
-        day2 = step(day1, UpdateRule.STANDARD)
-        day3 = step(day2, UpdateRule.STANDARD)
-        day1b = step(g, UpdateRule.BIASED)
-        cols["c11_std"][t] = int((day1.colors == 1).sum())
-        cols["c11_biased"][t] = int((day1b.colors == 1).sum())
-        cols["rhat1"][t] = compute_r_hat(g, v1).shape[0]
-        cols["rhat2"][t] = compute_r_hat(g, v2).shape[0]
-        c12 = int((day2.colors == 1).sum())
-        cols["c12"][t] = c12
-        cols["c23"][t] = n - int((day3.colors == 1).sum())
         end = run(g, UpdateRule.STANDARD, cap).termination
         win1 = isinstance(end, Unanimity) and end.winner == 1
-        cols["win1"][t] = float(win1)
-        cols["win_day"][t] = end.day if win1 else np.nan
-        rep = compute_s_sets(g, u, v)
-        cols["s1"][t] = len(rep.s1)
-        cols["s2"][t] = len(rep.s2)
-        cols["ss"][t] = len(rep.s_star)
-        cols["ig"][t] = rep.i_g
-        cols["v1_in_c12"][t] = float(day2.colors[v1] == 1)
-        cols["v2_in_c12"][t] = float(day2.colors[v2] == 1)
-    return cols
+        records.append(trial_record(
+            lambda flags: margins(g, pack_color_mask(flags)),
+            lambda x: unpack_row(g.adj[x], n), g.colors == 1,
+            win1, end.day if win1 else 0))
+    return {name: np.array([r[name] for r in records]) for name in records[0]}
 
 
 def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,

@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from majlab.graphs import ColoredGraph
+from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, sample_gnp,
+                           split_seed)
 from majlab.dynamics import (CapReached, DynamicsTrace, TwoCycle, Unanimity,
-                             UpdateRule, step)
+                             UpdateRule, run, step)
+from majlab.structure import compute_r_hat, compute_s_sets
 
 
 def naive_step(n: int, edges: set[frozenset], colors: list[int],
@@ -71,6 +73,49 @@ def graph_per_day_run(g: ColoredGraph, rule: UpdateRule,
             return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 2, period=2))
         prev_mask, cur_mask = cur_mask, new_mask
     return DynamicsTrace(n, counts, CapReached(cap))
+
+
+def graph_trial_quantities(n: int, p: float, delta, trials: int,
+                           master_seed: int, cap: int) -> dict[str, np.ndarray]:
+    """The bound report's 14 columns graph by graph, from whole-graph
+    kernels: `step` four times, `run`, `compute_r_hat` twice and
+    `compute_s_sets` once per sampled graph."""
+    scheme = FixedGap.from_delta(delta)
+    cols = {
+        name: np.empty(trials)
+        for name in ("c11_std", "c11_biased", "rhat1", "rhat2", "c12", "c23",
+                     "win1", "win_day", "s1", "s2", "ss", "ig",
+                     "v1_in_c12", "v2_in_c12")
+    }
+    for t in range(trials):
+        g = sample_gnp(GraphParams(n, p, split_seed(master_seed, t)), scheme)
+        is_c1 = g.colors == 1
+        ones = np.flatnonzero(is_c1)
+        twos = np.flatnonzero(~is_c1)
+        v1, v2 = int(ones[0]), int(twos[0])
+        u, v = int(ones[0]), int(ones[1])
+        day1 = step(g, UpdateRule.STANDARD)
+        day2 = step(day1, UpdateRule.STANDARD)
+        day3 = step(day2, UpdateRule.STANDARD)
+        day1b = step(g, UpdateRule.BIASED)
+        cols["c11_std"][t] = int((day1.colors == 1).sum())
+        cols["c11_biased"][t] = int((day1b.colors == 1).sum())
+        cols["rhat1"][t] = compute_r_hat(g, v1).shape[0]
+        cols["rhat2"][t] = compute_r_hat(g, v2).shape[0]
+        cols["c12"][t] = int((day2.colors == 1).sum())
+        cols["c23"][t] = n - int((day3.colors == 1).sum())
+        end = run(g, UpdateRule.STANDARD, cap).termination
+        win1 = isinstance(end, Unanimity) and end.winner == 1
+        cols["win1"][t] = float(win1)
+        cols["win_day"][t] = end.day if win1 else np.nan
+        rep = compute_s_sets(g, u, v)
+        cols["s1"][t] = len(rep.s1)
+        cols["s2"][t] = len(rep.s2)
+        cols["ss"][t] = len(rep.s_star)
+        cols["ig"][t] = rep.i_g
+        cols["v1_in_c12"][t] = float(day2.colors[v1] == 1)
+        cols["v2_in_c12"][t] = float(day2.colors[v2] == 1)
+    return cols
 
 
 def random_colored_graph(rng: np.random.Generator, n: int,

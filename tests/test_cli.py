@@ -179,6 +179,42 @@ def test_sweep_with_config_file(tmp_path, capsys):
     assert json.loads(results2.read_text().strip())["trials"] == 25
 
 
+def exit_code(args):
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+ORACLE = ["oracle", "--colors", "112", "--stat", "winprob"]
+
+
+@pytest.mark.parametrize("entries", [{"workers": 1.5}, {"workers": 0},
+                                     {"bogus": 1}, {"tri": 3}])
+def test_bad_config_entries_exit_2(tmp_path, capsys, entries):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    assert exit_code(["sweep", "--config", str(cfg), "--n", "20", "--p", "0.3",
+                      "--delta", "1", "--trials", "3"]) == 2
+
+
+def test_config_entries_parse_like_flags(tmp_path, capsys):
+    # a config value goes through the flag's type: 0.1 becomes Fraction('0.1')
+    # as on the command line, and a required flag may come from the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "p": 0.1, "cap": 4}))
+    assert run_cli(ORACLE + ["--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(ORACLE + ["--n", "3", "--p", "0.1", "--cap", "4"]) == 0
+    assert from_config == capsys.readouterr().out
+    # true is a bare switch, and an explicit flag still wins
+    cfg.write_text(json.dumps({"n": 3, "p": "1/3", "float": True}))
+    assert run_cli(ORACLE + ["--config", str(cfg), "--p", "1/2"]) == 0
+    from_config = capsys.readouterr().out
+    assert run_cli(ORACLE + ["--n", "3", "--p", "1/2", "--float"]) == 0
+    assert from_config == capsys.readouterr().out
+
+
 def test_sweep_csv_stdout_matches_summary_file(tmp_path, capsys):
     summary = tmp_path / "summary.csv"
     for extra in (["--delta", "0,2"], ["--scheme", "random-half"]):
@@ -237,6 +273,27 @@ def test_bad_worker_count_exits_2(monkeypatch, capsys, command, bad):
     with pytest.raises(SystemExit) as exc:
         run_cli(args)
     assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "abc"])
+@pytest.mark.parametrize("base, flag", [
+    (["simulate", "--n", "10", "--p", "0.5", "--delta", "1"], "--n"),
+    (["simulate", "--n", "10", "--p", "0.5", "--delta", "1"], "--cap"),
+    (["sweep", "--n", "20", "--p", "0.3", "--delta", "1", "--trials", "5"], "--trials"),
+    (["sweep", "--n", "20", "--p", "0.3", "--delta", "1", "--trials", "5"], "--cap"),
+    (["scan", "--n", "20", "--p", "0.3", "--trials", "5"], "--trials"),
+    (["scan", "--n", "20", "--p", "0.3", "--trials", "5"], "--n"),
+    (ORACLE + ["--n", "3", "--p", "1/2"], "--n"),
+    (ORACLE + ["--n", "3", "--p", "1/2"], "--cap"),
+    (["report", "lemmas", "--n", "60", "--p", "0.2", "--delta", "3",
+      "--trials", "100"], "--trials"),
+    (["report", "lemmas", "--n", "60", "--p", "0.2", "--delta", "3",
+      "--trials", "100"], "--n"),
+    (["sets", "--n", "10", "--p", "0.5", "--delta", "1"], "--n"),
+])
+def test_bad_counts_exit_2(capsys, base, flag, bad):
+    assert exit_code(base + [flag, bad]) == 2
     assert "positive integer" in capsys.readouterr().err
 
 

@@ -544,8 +544,9 @@ def test_enumerate_trial_quantities_matches_scalar_loop():
 
 
 def test_sampled_and_enumerated_trial_records_agree():
-    # The Monte Carlo and the exact bound report build the same 14 columns
-    # with two drivers.  Relabelling a sampled graph so that its color-1
+    # Both bound-report modes take their 14 columns from
+    # stats.trial_record, one sampled graph at a time or every configuration
+    # of the cube at once.  Relabelling a sampled graph so that its color-1
     # vertices become 0..c1-1 in index order keeps the focal vertices (first
     # and second color-1, first color-2) and gives its enumerated row.
     seed, trials = 17, 50

@@ -9,9 +9,10 @@ from majlab.graphs import FixedGap, GraphParams, sample_gnp, split_seed
 from majlab.stats import (LEMMA_ANCHORS, ThresholdParams, centered_indicators,
                           compute_mu, compute_mu_exact, delta_threshold,
                           double_factorial, expected_biased_day1_count,
-                          lemma_report, moment_estimate)
+                          _gather_trial_quantities, lemma_report,
+                          moment_estimate)
 
-from conftest import brute_bindiff_geq
+from conftest import brute_bindiff_geq, graph_trial_quantities
 
 
 def test_delta_threshold_log_identity():
@@ -197,6 +198,20 @@ def test_lemma_report_fraction_p():
     rep = lemma_report(6, Fraction(1, 3), 1, trials=100)
     assert rep.to_json_dict() == lemma_report(6, 1 / 3, 1, trials=100).to_json_dict()
     assert type(rep.p) is float
+
+
+@pytest.mark.parametrize("cap", [1, 3, 50])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n, delta", [(3, 0.5), (63, 1.5), (64, 2), (65, 0.5)])
+def test_trial_record_matches_whole_graph_kernels(n, delta, p, cap):
+    # the packed-word adapters of the sampled report at and across the
+    # 64-bit word boundary, on empty and complete graphs too
+    got = _gather_trial_quantities(n, p, delta, 6, 5, cap)
+    want = graph_trial_quantities(n, p, delta, 6, 5, cap)
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype, name
+        np.testing.assert_array_equal(got[name], col, err_msg=name)
 
 
 def test_lemma_report_validation():

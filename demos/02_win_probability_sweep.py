@@ -23,7 +23,7 @@ for cell in run_sweep(cfg).cells:
 scan = threshold_scan(n, p, UpdateRule.STANDARD, trials=400,
                       target_prob=0.9, master_seed=2, workers=2)
 print(f"\nsmallest certified-90% gap bracket: "
-      f"[{scan.delta_lo}, {scan.delta_hi}] (widened: {scan.widened})")
+      f"[{scan.delta_lo}, {scan.delta_hi}]")
 
 th = delta_threshold(n, p, ThresholdParams(a=1.0, b=1.0))
 print(f"two-branch threshold at A=B=1: {th.value:.2f} "

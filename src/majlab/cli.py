@@ -98,8 +98,8 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _positive_ints(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(x) for x in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("sweep", help="Monte Carlo sweep over (n, p, gap) cells")
-    sp.add_argument("--n", type=_ints, default=(100,), dest="n_values")
+    sp.add_argument("--n", type=_positive_ints, default=(100,), dest="n_values")
     sp.add_argument("--p", type=_floats, default=(0.1,), dest="p_values")
     sp.add_argument("--delta", type=_floats, default=None, dest="delta_values")
     sp.add_argument("--scheme", choices=("random-half", "random-biased"),
@@ -256,7 +256,7 @@ def _cmd_scan(args) -> int:
                          workers=args.workers)
     print(json.dumps({
         "delta_lo": res.delta_lo, "delta_hi": res.delta_hi,
-        "target": res.target_prob, "widened": res.widened,
+        "target": res.target_prob,
         "evaluations": {str(k): v for k, v in res.evaluations.items()},
     }, sort_keys=True))
     return 0

@@ -84,9 +84,6 @@ class DynamicsTrace:
     counts: list[tuple[int, int]]  # (day, c1)
     termination: Termination
 
-    def c1(self, day: int) -> int:
-        return self.counts[day][1]
-
     @property
     def days_run(self) -> int:
         return self.counts[-1][0]

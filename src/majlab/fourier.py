@@ -142,7 +142,6 @@ class FourierTable:
     exact: bool
     mu_v: Union[float, Fraction]
     scaled: Union[list, np.ndarray]  # indexed by the subset bitmask S
-    max_set_size: int
     # per configuration: does v keep its color on biased day 1
     keep: np.ndarray = field(repr=False, compare=False)
 
@@ -198,12 +197,11 @@ class FourierTable:
 
     @property
     def coefficients(self) -> dict[frozenset, float]:
-        """Float coefficients keyed by edge subsets up to max_set_size."""
+        """Float coefficients keyed by edge subset, for every subset."""
         out = {}
         for mask in range(1 << self.n_edges):
-            if int(mask).bit_count() <= self.max_set_size:
-                s = frozenset(e for k, e in enumerate(self.edges) if mask >> k & 1)
-                out[s] = self.coefficient(mask)
+            s = frozenset(e for k, e in enumerate(self.edges) if mask >> k & 1)
+            out[s] = self.coefficient(mask)
         return out
 
     def parseval_sum(self) -> Union[float, Fraction]:
@@ -229,7 +227,7 @@ class FourierTable:
 
 
 def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
-                         max_set_size: Optional[int] = None, power: int = 1,
+                         power: int = 1,
                          exact: Optional[bool] = None) -> FourierTable:
     """Coefficients of Z_v^power by exact expectation over all 2^C(m,2) graphs.
 
@@ -247,10 +245,6 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
     if power < 1:
         raise ValueError("power must be at least 1")
     n_edges = m * (m - 1) // 2
-    if max_set_size is None:
-        max_set_size = n_edges
-    if max_set_size > n_edges:
-        raise ValueError("max_set_size exceeds the number of potential edges")
     if exact is None:
         exact = m <= _EXACT_DEFAULT_LIMIT
     c1 = sum(1 for c in colors if c == 1)
@@ -267,4 +261,4 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
          * _z_powers(keep, mu_v, power))
     scaled = _forward(a, n_edges, q)
     return FourierTable(m, colors, v, q, power, exact, mu_v,
-                        scaled.tolist() if exact else scaled, max_set_size, keep)
+                        scaled.tolist() if exact else scaled, keep)

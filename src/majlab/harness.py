@@ -158,12 +158,6 @@ class CellResult:
 class SweepResult:
     cells: list[CellResult]
 
-    def cell(self, cell_id: int) -> CellResult:
-        for c in self.cells:
-            if c.cell_id == cell_id:
-                return c
-        raise KeyError(cell_id)
-
 
 def _aggregate(cell: Cell, outcomes: list[tuple[Termination, int]]) -> CellResult:
     """Reduce a cell's (termination, day-0 c1) outcomes, in trial order."""
@@ -208,8 +202,7 @@ def _aggregate(cell: Cell, outcomes: list[tuple[Termination, int]]) -> CellResul
 def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool) -> CellResult:
     """Map the cell's trials in index order, in this process or the pool."""
     cap = cfg.cap if cfg.cap is not None else default_cap(cell.n, cell.p)
-    chunk = max(1, min(_MAX_CHUNK,
-                       math.ceil(cfg.trials / max(1, cfg.workers * 4))))
+    chunk = min(_MAX_CHUNK, math.ceil(cfg.trials / (cfg.workers * 4)))
     trial = functools.partial(_one_trial, cell.n, cell.p, cell.scheme, cfg.rule,
                               cap, cfg.master_seed, cell.index)
     trials = range(cfg.trials)
@@ -340,71 +333,57 @@ def summary_rows(cells: list[CellResult]) -> list[list]:
 class ScanResult:
     """Bracket [delta_lo, delta_hi] for the smallest winning gap.
 
-    delta_hi is the smallest gap whose Wilson lower bound reached the target;
-    delta_lo is the largest gap that missed it.  A non-monotone response
-    widens the bracket instead of failing.
+    delta_hi is the smallest evaluated gap whose Wilson lower bound reached
+    the target, and delta_lo the largest evaluated gap that missed it.  Both
+    are the smallest gap when that gap certifies; when no gap certifies, the
+    bracket is the whole range.
     """
 
     delta_lo: float
     delta_hi: float
     target_prob: float
     evaluations: dict[float, dict]
-    widened: bool
 
 
 def threshold_scan(n: int, p: float, rule: UpdateRule, trials: int,
                    target_prob: float, master_seed: int = 0,
                    workers: int = 1) -> ScanResult:
     """Bisect over the gap for the smallest fixed gap whose color-1 win
-    frequency certifiably (Wilson lower bound) reaches target_prob."""
+    frequency certifiably (Wilson lower bound) reaches target_prob.
+
+    The largest gap, an all-color-1 start, wins every trial, so no gap
+    certifies unless it does.  The bisection evaluates only gaps strictly
+    inside the bracket, so every evaluated miss lies below every evaluated
+    success, whatever the win frequencies.
+    """
     if not 0.5 < target_prob < 1.0:
         raise ValueError("target probability must lie in (0.5, 1)")
-    parity = n % 2
-    td_min = parity  # smallest representable doubled gap
-    td_max = n       # monochromatic start
+    lo, hi = n % 2, n  # doubled gaps: smallest representable, monochromatic
     evals: dict[int, dict] = {}
 
     with _pool(workers) as pool:
-        def ev(td: int) -> bool:
-            if td not in evals:
-                cfg = ExperimentConfig(
-                    n_values=(n,), p_values=(p,), delta_values=(td / 2,),
-                    rule=rule, trials=trials,
-                    master_seed=split_seed(master_seed, td), workers=workers)
-                cell = _execute_cell(cfg.cells()[0], cfg, pool)
-                evals[td] = {"wins1": cell.wins1, "trials": cell.trials,
-                             "wilson_lo": cell.wilson_lo, "p_hat": cell.p_hat}
-            return evals[td]["wilson_lo"] >= target_prob
+        def certified(td: int) -> bool:
+            cfg = ExperimentConfig(
+                n_values=(n,), p_values=(p,), delta_values=(td / 2,),
+                rule=rule, trials=trials,
+                master_seed=split_seed(master_seed, td), workers=workers)
+            cell = _execute_cell(cfg.cells()[0], cfg, pool)
+            evals[td] = {"wins1": cell.wins1, "trials": cell.trials,
+                         "wilson_lo": cell.wilson_lo, "p_hat": cell.p_hat}
+            return cell.wilson_lo >= target_prob
 
-        hi_ok = ev(td_max)
-        lo_ok = ev(td_min)
-        if lo_ok:
-            lo, hi = td_min, td_min
-        elif not hi_ok:
-            lo, hi = td_min, td_max  # nothing certified; full-range bracket
-        else:
-            lo, hi = td_min, td_max
+        hi_ok = certified(hi)
+        if certified(lo):
+            hi = lo
+        elif hi_ok:
             while hi - lo > 2:
-                mid = lo + (hi - lo) // 2
-                if (mid - parity) % 2:
-                    mid += 1
-                if mid <= lo or mid >= hi:
-                    break
-                if ev(mid):
+                mid = lo + (hi - lo + 2) // 4 * 2  # keeps n's parity
+                if certified(mid):
                     hi = mid
                 else:
                     lo = mid
-
-    successes = {td for td in evals if evals[td]["wilson_lo"] >= target_prob}
-    failures = set(evals) - successes
-    widened = False
-    if successes and failures and max(failures) > min(successes):
-        widened = True
-        lo, hi = min(successes), max(failures)
-        above = [td for td in successes if td > max(failures)]
-        hi = min(above) if above else td_max
     return ScanResult(lo / 2, hi / 2, target_prob,
-                      {td / 2: v for td, v in sorted(evals.items())}, widened)
+                      {td / 2: v for td, v in sorted(evals.items())})
 
 
 @dataclass

@@ -235,6 +235,7 @@ def test_scan_subcommand(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["delta_hi"] >= data["delta_lo"]
+    assert sorted(data) == ["delta_hi", "delta_lo", "evaluations", "target"]
 
 
 def test_report_lemmas(tmp_path, capsys):
@@ -276,7 +277,7 @@ def test_bad_worker_count_exits_2(monkeypatch, capsys, command, bad):
     assert "positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["0", "-1", "abc"])
+@pytest.mark.parametrize("bad", ["0", "-1", "abc", "20,0"])
 @pytest.mark.parametrize("base, flag", [
     (["simulate", "--n", "10", "--p", "0.5", "--delta", "1"], "--n"),
     (["simulate", "--n", "10", "--p", "0.5", "--delta", "1"], "--cap"),
@@ -291,6 +292,7 @@ def test_bad_worker_count_exits_2(monkeypatch, capsys, command, bad):
     (["report", "lemmas", "--n", "60", "--p", "0.2", "--delta", "3",
       "--trials", "100"], "--n"),
     (["sets", "--n", "10", "--p", "0.5", "--delta", "1"], "--n"),
+    (["sweep", "--p", "0.3", "--delta", "1", "--trials", "5"], "--n"),
 ])
 def test_bad_counts_exit_2(capsys, base, flag, bad):
     assert exit_code(base + [flag, bad]) == 2

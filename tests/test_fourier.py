@@ -165,10 +165,12 @@ def test_coefficient_lookup_by_edges():
             assert lookup(mask) == lookup(int(mask))
 
 
-def test_coefficients_dict_respects_max_size():
-    t = fourier_coefficients(4, (1, 1, 2, 2), 0, Fraction(1, 3), max_set_size=1)
-    sizes = {len(s) for s in t.coefficients}
-    assert sizes <= {0, 1}
+def test_coefficients_dict_covers_every_subset():
+    t = fourier_coefficients(4, (1, 1, 2, 2), 0, Fraction(1, 3))
+    coeffs = t.coefficients
+    assert len(coeffs) == 1 << t.n_edges
+    for s, c in coeffs.items():
+        assert c == t.coefficient(s)
 
 
 def test_validation():
@@ -182,5 +184,3 @@ def test_validation():
         fourier_coefficients(3, (1, 1, 2), 0, 0.5, power=0)
     with pytest.raises(ValueError):
         fourier_coefficients(3, (1, 1, 2), 0, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        fourier_coefficients(3, (1, 1, 2), 0, 0.5, max_set_size=10)

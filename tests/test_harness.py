@@ -239,7 +239,38 @@ def test_threshold_scan_symmetric_start_excludes_zero():
                          target_prob=0.8, master_seed=2)
     assert res.delta_hi > 0.0
     assert res.evaluations[0.0]["wilson_lo"] < 0.8
-    assert not res.widened
+
+
+def test_threshold_scan_bracket_splits_misses_from_successes():
+    # delta_lo is the largest evaluated miss and delta_hi the smallest
+    # evaluated success, whatever the sampled win frequencies; the first two
+    # settings are a smallest gap that certifies (any strict majority wins a
+    # complete graph) and a target that 5 trials cannot certify
+    rng = np.random.default_rng(15)
+    settings = [(21, 1.0 - 1e-12, UpdateRule.STANDARD, 80, 0.9, 1),
+                (20, 0.5, UpdateRule.BIASED, 5, 0.9, 0)]
+    for _ in range(30):
+        n = int(rng.integers(4, 25))
+        settings.append((n, float(rng.uniform(2 / n, 0.9)),
+                         UpdateRule(rng.choice(["standard", "biased"])),
+                         int(rng.integers(5, 41)),
+                         float(rng.uniform(0.55, 0.95)),
+                         int(rng.integers(1000))))
+    seen = set()
+    for n, p, rule, trials, target, seed in settings:
+        res = threshold_scan(n, p, rule, trials, target, master_seed=seed)
+        hits = [d for d, e in res.evaluations.items() if e["wilson_lo"] >= target]
+        misses = [d for d, e in res.evaluations.items() if e["wilson_lo"] < target]
+        if not hits:
+            assert (res.delta_lo, res.delta_hi) == ((n % 2) / 2, n / 2)
+            seen.add("none certifies")
+        elif not misses:
+            assert res.delta_lo == res.delta_hi == (n % 2) / 2
+            seen.add("smallest certifies")
+        else:
+            assert res.delta_lo == max(misses) < min(hits) == res.delta_hi
+            seen.add("bisected")
+    assert len(seen) == 3
 
 
 def test_threshold_scan_opens_one_pool(monkeypatch):

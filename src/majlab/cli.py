@@ -3,9 +3,10 @@
 Subcommands: simulate, sweep, scan, oracle, sets, verify, report.  Every
 subcommand takes --seed and is bit-reproducible; --workers (default from
 MAJLAB_WORKERS) bounds parallelism, with 1 forcing sequential execution.
-Exit codes: 0 success, 1 runtime failure, 2 bad arguments (including a sweep
---results file that another sweep configuration wrote), 3 when verify finds
-an asserted inequality violated.
+Exit codes: 0 success; 2 for any argument or input file that majlab rejects
+(every ValueError, including a sweep --results file that another sweep
+configuration wrote); 1 for an OS or file failure; 3 when verify finds an
+asserted inequality violated.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .appendix_a import default_grid, small_grid, verify_appendix_a
 from .dynamics import UpdateRule, default_cap, run
 from .graphs import (ColoredGraph, FixedGap, GraphParams, RandomBiased,
                      RandomHalf, sample_gnp)
-from .harness import (ExperimentConfig, ForeignResultsError, run_sweep,
-                      summary_rows, threshold_scan)
+from .harness import (ExperimentConfig, run_sweep, summary_rows,
+                      threshold_scan)
 from .oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
                      SetStat, VarCount, WinProb, oracle_eval)
 from .stats import lemma_report
@@ -362,16 +363,16 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         argv = _with_config(argv)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ForeignResultsError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, IndexError) as exc:
+    except (OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -157,5 +157,5 @@ def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,
 def default_cap(n: int, p: float) -> int:
     """Safety cap of ceil(10 log n / log(np)) + 10 days; requires np > 1."""
     if n * p <= 1.0:
-        raise ValueError(f"default_cap needs np > 1, got np={n * p}")
+        raise ValueError(f"default cap needs np > 1; got n={n}, p={p}")
     return math.ceil(10.0 * math.log(n) / math.log(n * p)) + 10

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -86,26 +87,20 @@ class ExperimentConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if (self.delta_values is None) == (self.scheme is None):
             raise ValueError("exactly one of delta_values or scheme is required")
-        if self.cap is None:
-            for n in self.n_values:
-                for p in self.p_values:
-                    if n * p <= 1.0:
-                        raise ValueError(
-                            f"default cap needs np > 1; cell n={n}, p={p}")
+        # every cell makes the checks its trials would make, before any work
+        for cell in self.cells():
+            GraphParams(cell.n, cell.p)
+            if isinstance(cell.scheme, FixedGap):
+                cell.scheme.class_sizes(cell.n)
+            if self.cap is None:
+                default_cap(cell.n, cell.p)
 
     def cells(self) -> list["Cell"]:
-        out = []
-        idx = 0
-        for n in self.n_values:
-            for p in self.p_values:
-                if self.delta_values is not None:
-                    for d in self.delta_values:
-                        out.append(Cell(idx, n, p, FixedGap.from_delta(d)))
-                        idx += 1
-                else:
-                    out.append(Cell(idx, n, p, self.scheme))
-                    idx += 1
-        return out
+        """The grid's cells, indexed in n -> p -> gap order."""
+        schemes = ((self.scheme,) if self.delta_values is None
+                   else [FixedGap.from_delta(d) for d in self.delta_values])
+        grid = itertools.product(self.n_values, self.p_values, schemes)
+        return [Cell(i, n, p, s) for i, (n, p, s) in enumerate(grid)]
 
 
 @dataclass(frozen=True)

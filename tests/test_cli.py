@@ -66,7 +66,7 @@ def test_oracle_setstat(capsys):
 def test_oracle_rejects_p_above_one(capsys):
     code = run_cli(["oracle", "--n", "3", "--colors", "112", "--stat",
                     "winprob", "--p", "3/2"])
-    assert code == 1
+    assert code == 2
     io = capsys.readouterr()
     assert io.out == "" and "p must lie in [0,1]" in io.err
 
@@ -74,7 +74,7 @@ def test_oracle_rejects_p_above_one(capsys):
 def test_oracle_rejects_focal_vertex_out_of_range(capsys):
     code = run_cli(["oracle", "--n", "4", "--colors", "1122", "--stat",
                     "setstat", "--which", "r_hat", "--w", "9", "--p", "1/2"])
-    assert code == 1
+    assert code == 2
     io = capsys.readouterr()
     assert io.out == "" and "error:" in io.err and "out of range" in io.err
 
@@ -82,7 +82,7 @@ def test_oracle_rejects_focal_vertex_out_of_range(capsys):
 def test_oracle_rejects_negative_day(capsys):
     code = run_cli(["oracle", "--n", "3", "--colors", "112", "--stat",
                     "expcount", "--day", "-2", "--p", "1/2"])
-    assert code == 1
+    assert code == 2
     io = capsys.readouterr()
     assert io.out == "" and "day must be at least 0" in io.err
 
@@ -93,7 +93,7 @@ def test_oracle_rejects_negative_day(capsys):
 def test_oracle_rejects_bad_statistic_fields(capsys, stat):
     code = run_cli(["oracle", "--n", "4", "--colors", "1122", "--p", "1/2",
                     "--stat"] + stat)
-    assert code == 1
+    assert code == 2
     io = capsys.readouterr()
     assert io.out == "" and "error:" in io.err
 
@@ -132,7 +132,7 @@ def test_sets_rejects_a_missing_focal_pair(tmp_path, capsys, colors, focal,
     path = tmp_path / "g.json"
     path.write_text(ColoredGraph.from_edges(len(colors), [(0, 1)],
                                             colors).to_json())
-    assert run_cli(["sets", "--graph", str(path)] + focal) == 1
+    assert run_cli(["sets", "--graph", str(path)] + focal) == 2
     io = capsys.readouterr()
     assert io.out == "" and f"error: set statistics {message}" in io.err
 
@@ -311,11 +311,42 @@ def test_sweep_into_foreign_results_exit_2(tmp_path, capsys):
     assert results.read_bytes() == written
 
 
+SWEEP = ["sweep", "--n", "20", "--p", "0.3", "--delta", "1", "--trials", "3"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (SWEEP + ["--p", "1.5"], "p must lie in [0,1]"),
+    (SWEEP + ["--delta=-3"], "gap must be nonnegative"),
+    (SWEEP + ["--n", "20", "--delta", "30"], "too large for n=20"),
+    (SWEEP + ["--n", "20", "--delta", "0.5"], "must be an integer"),
+    (SWEEP + ["--n", "3", "--p", "0.3", "--delta", "0.5"], "needs np > 1"),
+    (SWEEP + ["--scheme", "random-biased", "--q1", "1.5"], "q1 must lie in"),
+    (["scan", "--n", "20", "--p", "0.3", "--trials", "3", "--target", "1.2"],
+     "target probability"),
+], ids=["p", "negative-gap", "gap-above-half-n", "gap-parity", "np-at-most-1",
+        "q1", "target"])
+def test_out_of_range_values_exit_2_before_any_trial(tmp_path, monkeypatch,
+                                                     capsys, args, message):
+    from majlab import harness
+
+    def no_trial(*_):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "sample_gnp", no_trial)
+    results = tmp_path / "r.jsonl"
+    if args[0] == "sweep":
+        args = args + ["--results", str(results)]
+    assert run_cli(args) == 2
+    io = capsys.readouterr()
+    assert io.out == "" and "error:" in io.err and message in io.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runtime_failure_exit_1(capsys):
     code = run_cli(["sets", "--graph", "/nonexistent/file.json"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_delta_is_runtime_error():
-    assert run_cli(["simulate", "--n", "10", "--p", "0.5"]) == 1
+def test_missing_delta_exits_2(capsys):
+    assert run_cli(["simulate", "--n", "10", "--p", "0.5"]) == 2
+    assert "--delta is required" in capsys.readouterr().err

@@ -41,6 +41,50 @@ def test_config_validation():
                              workers=workers)
 
 
+GRID = dict(n_values=(20, 30), p_values=(0.3, 0.5), delta_values=(1.0, 2.0),
+            trials=3)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(n_values=(20, 0)), "n must be positive"),
+    (dict(p_values=(0.3, 1.5)), r"p must lie in \[0,1\]"),
+    (dict(p_values=(0.3, float("nan"))), r"p must lie in \[0,1\]"),
+    (dict(delta_values=(1.0, -3.0)), "gap must be nonnegative"),
+    (dict(delta_values=(1.0, 0.25)), "gap must be a half-integer"),
+    (dict(n_values=(20, 21)), r"n/2 \+ delta must be an integer"),
+    (dict(delta_values=(1.0, 30.0)), "too large for n=20"),
+    (dict(p_values=(0.3, 0.01)), "needs np > 1; got n=20, p=0.01"),
+    (dict(n_values=(20, 2), delta_values=None, scheme=RandomHalf()),
+     "needs np > 1; got n=2, p=0.3"),
+])
+def test_config_refuses_a_bad_last_cell(change, message):
+    """Each bad cell raises when the config is built, also when it is the
+    last cell of several."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{**GRID, **change})
+    good = {k: v[:1] if isinstance(v, tuple) else v for k, v in change.items()}
+    ExperimentConfig(**{**GRID, **good})
+
+
+def test_explicit_cap_allows_np_at_most_one():
+    cfg = ExperimentConfig(n_values=(100,), p_values=(0.005,),
+                           delta_values=(2.0,), trials=3, cap=5)
+    assert run_sweep(cfg).cells[0].trials == 3
+
+
+def test_cells_in_n_p_gap_order():
+    cells = ExperimentConfig(**GRID).cells()
+    assert [(c.index, c.n, c.p, c.delta) for c in cells] == [
+        (0, 20, 0.3, 1.0), (1, 20, 0.3, 2.0), (2, 20, 0.5, 1.0),
+        (3, 20, 0.5, 2.0), (4, 30, 0.3, 1.0), (5, 30, 0.3, 2.0),
+        (6, 30, 0.5, 1.0), (7, 30, 0.5, 2.0)]
+    cells = ExperimentConfig(**{**GRID, "delta_values": None,
+                                "scheme": RandomHalf()}).cells()
+    assert [(c.index, c.n, c.p, c.scheme) for c in cells] == [
+        (0, 20, 0.3, RandomHalf()), (1, 20, 0.5, RandomHalf()),
+        (2, 30, 0.3, RandomHalf()), (3, 30, 0.5, RandomHalf())]
+
+
 def test_counts_partition_trials():
     cfg = ExperimentConfig(n_values=(30,), p_values=(0.2,),
                            delta_values=(0.0, 2.0), trials=150, master_seed=7)
@@ -116,7 +160,7 @@ def test_sweep_manifest(tmp_path):
     # ... while every output-deciding field does
     base = dict(n_values=(20,), p_values=(0.3,), delta_values=(1.0,),
                 trials=50, master_seed=1)
-    changes = [dict(n_values=(21,)), dict(p_values=(0.31,)),
+    changes = [dict(n_values=(22,)), dict(p_values=(0.31,)),
                dict(delta_values=(2.0,)), dict(trials=51),
                dict(master_seed=2), dict(cap=30),
                dict(rule=UpdateRule.BIASED),

@@ -314,6 +314,26 @@ def test_identity_scan_catches_wrong_centering_constants(monkeypatch):
     assert any(v.startswith("centering: ") for v in scan.violations)
 
 
+def _s2_takes_s1(s1, s2, ss):
+    return s1, s2 | s1, ss
+
+
+def _no_s_star(s1, s2, ss):
+    return s1, s2, np.zeros_like(ss)
+
+
+@pytest.mark.parametrize("mutant", [_s2_takes_s1, _no_s_star])
+def test_identity_scan_catches_a_broken_partition(monkeypatch, mutant):
+    # s-sets that overlap or miss a vertex, while the cube still steps right
+    from majlab import oracle
+    flags = oracle.s_sets_flags
+    monkeypatch.setattr(oracle, "s_sets_flags",
+                        lambda *args: mutant(*flags(*args)))
+    scan = exhaustive_identity_scan(4)
+    assert not scan.clean
+    assert all(v.startswith("partition: ") for v in scan.violations)
+
+
 def test_golden_values():
     data = json.loads(GOLDEN.read_text())
     stats = {

@@ -188,7 +188,7 @@ def _check_clt_supremum(params: dict) -> tuple[float, float, bool, str]:
     dist = BinDiffDist(n_pos, n_neg, p)
     mu = (n_pos - n_neg) * p
     support = np.arange(-n_neg, n_pos + 1)
-    cdf = np.cumsum(dist.table)
+    cdf = dist.cdf_table
     phi = ndtr((support - mu) / (sigma * math.sqrt(n)))
     sup = float(np.max(np.maximum(np.abs(cdf - phi),
                                   np.abs(cdf - dist.table - phi))))

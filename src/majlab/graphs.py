@@ -91,8 +91,11 @@ class FixedGap:
 
     @classmethod
     def from_delta(cls, delta) -> "FixedGap":
-        td = Fraction(delta) * 2
-        if td.denominator != 1:
+        try:
+            td = Fraction(delta) * 2
+        except (OverflowError, ValueError):  # an infinite or NaN gap
+            td = None
+        if td is None or td.denominator != 1:
             raise ValueError(f"gap must be a half-integer, got {delta}")
         return cls(int(td))
 

@@ -83,8 +83,8 @@ def binom_cdf(n: int, p: float, k: float) -> float:
 class BinDiffDist:
     """Exact distribution of X1 - X2 for independent Bin(n1,p), Bin(n2,p).
 
-    The pmf table spans the full support [-n2, n1]; the cdf is accumulated
-    with compensated (Kahan) summation.
+    The pmf table spans the full support [-n2, n1]; cdf_table is its
+    running sum.
     """
 
     def __init__(self, n1: int, n2: int, p: float):
@@ -101,7 +101,7 @@ class BinDiffDist:
         p2 = _pmf(np.arange(n2 + 1), n2, p)
         # index m of the table corresponds to d = m - n2
         self.table = np.convolve(p1, p2[::-1])
-        self._cdf = _kahan_cumsum(self.table)
+        self.cdf_table = np.cumsum(self.table)
 
     @property
     def support(self) -> range:
@@ -119,26 +119,13 @@ class BinDiffDist:
             return 0.0
         if m >= self.table.shape[0]:
             return 1.0
-        return float(self._cdf[m])
+        return float(self.cdf_table[m])
 
     def total_mass(self) -> float:
-        return float(self._cdf[-1])
+        return float(self.cdf_table[-1])
 
     def mode(self) -> int:
         return int(np.argmax(self.table)) - self.n2
-
-
-def _kahan_cumsum(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    s = 0.0
-    c = 0.0
-    for i, v in enumerate(x.tolist()):
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
-    return out
 
 
 def _window(n: int, p: float) -> tuple[int, int]:

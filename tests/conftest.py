@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,25 @@ from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, sample_gnp,
                            split_seed)
 from majlab.dynamics import (CapReached, DynamicsTrace, TwoCycle, Unanimity,
                              UpdateRule, run, step)
+from majlab.oracle import (ExpectedCount, MomentZ, OracleQuery, SetStat,
+                           VarCount, WinProb)
 from majlab.structure import compute_r_hat, compute_s_sets
+
+GOLDEN = Path(__file__).parent / "golden" / "oracle_golden.json"
+_GOLDEN_STATS = {
+    "winprob": lambda d: WinProb(color=d["color"]),
+    "expcount": lambda d: ExpectedCount(day=d["day"], color=d["color"]),
+    "varcount": lambda d: VarCount(day=d["day"], color=d["color"]),
+    "momentz": lambda d: MomentZ(k=d["k"]),
+    "setstat": lambda d: SetStat(d["which"], d["moment"], u=0, v=1, w=0),
+}
+
+
+def golden_records() -> list[tuple[OracleQuery, Fraction]]:
+    """(query at the exact p, exact value) of every record in the golden file."""
+    return [(OracleQuery(rec["n"], Fraction(rec["p"]), tuple(rec["colors"]),
+                         _GOLDEN_STATS[rec["stat"]](rec)), Fraction(rec["value"]))
+            for rec in json.loads(GOLDEN.read_text())]
 
 
 def naive_step(n: int, edges: set[frozenset], colors: list[int],

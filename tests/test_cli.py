@@ -323,8 +323,16 @@ SWEEP = ["sweep", "--n", "20", "--p", "0.3", "--delta", "1", "--trials", "3"]
     (SWEEP + ["--scheme", "random-biased", "--q1", "1.5"], "q1 must lie in"),
     (["scan", "--n", "20", "--p", "0.3", "--trials", "3", "--target", "1.2"],
      "target probability"),
+    (SWEEP + ["--delta", "inf"], "half-integer, got inf"),
+    (SWEEP + ["--delta=-inf"], "half-integer, got -inf"),
+    (["simulate", "--n", "20", "--p", "0.3", "--delta", "inf"],
+     "half-integer, got inf"),
+    (["sets", "--n", "20", "--p", "0.3", "--delta", "inf"],
+     "half-integer, got inf"),
+    (["report", "lemmas", "--delta", "inf"], "half-integer, got inf"),
 ], ids=["p", "negative-gap", "gap-above-half-n", "gap-parity", "np-at-most-1",
-        "q1", "target"])
+        "q1", "target", "infinite-gap", "negative-infinite-gap",
+        "simulate-infinite-gap", "sets-infinite-gap", "report-infinite-gap"])
 def test_out_of_range_values_exit_2_before_any_trial(tmp_path, monkeypatch,
                                                      capsys, args, message):
     from majlab import harness

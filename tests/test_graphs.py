@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -178,6 +179,12 @@ def test_fixed_gap_parity_rejected():
         FixedGap.from_delta(0.3)
     with pytest.raises(ValueError):
         sample_gnp(GraphParams(4, 0.5, 0), FixedGap.from_delta(3))
+
+
+@pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+def test_fixed_gap_rejects_non_finite(delta):
+    with pytest.raises(ValueError, match="gap must be a half-integer"):
+        FixedGap.from_delta(delta)
 
 
 def test_invalid_p_rejected():

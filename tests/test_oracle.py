@@ -1,10 +1,8 @@
 import dataclasses
 import functools
 import itertools
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +17,7 @@ from majlab.oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
                            rhat_mask, rows_from_mask, s_sets_mask, step_mask)
 from majlab.stats import _gather_trial_quantities, compute_mu, compute_mu_exact
 
-from conftest import enumerate_small_graphs, naive_step
-
-GOLDEN = Path(__file__).parent / "golden" / "oracle_golden.json"
+from conftest import enumerate_small_graphs, golden_records, naive_step
 
 
 def brute_expected_count(n, colors, p, day, color):
@@ -314,42 +310,12 @@ def test_identity_scan_catches_wrong_centering_constants(monkeypatch):
     assert any(v.startswith("centering: ") for v in scan.violations)
 
 
-def _s2_takes_s1(s1, s2, ss):
-    return s1, s2 | s1, ss
-
-
-def _no_s_star(s1, s2, ss):
-    return s1, s2, np.zeros_like(ss)
-
-
-@pytest.mark.parametrize("mutant", [_s2_takes_s1, _no_s_star])
-def test_identity_scan_catches_a_broken_partition(monkeypatch, mutant):
-    # s-sets that overlap or miss a vertex, while the cube still steps right
-    from majlab import oracle
-    flags = oracle.s_sets_flags
-    monkeypatch.setattr(oracle, "s_sets_flags",
-                        lambda *args: mutant(*flags(*args)))
-    scan = exhaustive_identity_scan(4)
-    assert not scan.clean
-    assert all(v.startswith("partition: ") for v in scan.violations)
-
-
 def test_golden_values():
-    data = json.loads(GOLDEN.read_text())
-    stats = {
-        "winprob": lambda d: WinProb(color=d["color"]),
-        "expcount": lambda d: ExpectedCount(day=d["day"], color=d["color"]),
-        "varcount": lambda d: VarCount(day=d["day"], color=d["color"]),
-        "momentz": lambda d: MomentZ(k=d["k"]),
-        "setstat": lambda d: SetStat(d["which"], d["moment"], u=0, v=1, w=0),
-    }
-    for rec in data:
-        q = OracleQuery(rec["n"], Fraction(rec["p"]), tuple(rec["colors"]),
-                        stats[rec["stat"]](rec))
-        want = Fraction(rec["value"])
+    for q, want in golden_records():
+        rec = (q.n, q.colors, q.statistic)
         assert oracle_eval(q).value == want, rec
         # a float p is summed exactly at its binary value and rounded once
-        float_p = float(Fraction(rec["p"]))
+        float_p = float(q.p)
         got = oracle_eval(dataclasses.replace(q, p=float_p)).value
         at_binary_p = oracle_eval(dataclasses.replace(q, p=Fraction(float_p)))
         assert type(got) is float and got == float(at_binary_p.value), rec

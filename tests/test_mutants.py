@@ -34,7 +34,7 @@ _SCAN_LABELS = ("rhat", "partition", "day2", "centering")
 
 def _ties_to_color1(margin, color1, rule):
     if rule is UpdateRule.STANDARD:
-        color1 = color1 | True
+        return margin >= 0
     return takes_color1(margin, color1, rule)
 
 
@@ -133,18 +133,17 @@ def _tripped_checks(monkeypatch):
 
 
 def test_unmutated_checks_pass(monkeypatch):
-    oracle._keys.cache_clear()
     assert _tripped_checks(monkeypatch) == set()
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant_trips_its_checks(monkeypatch, name):
     original, mutant, expected = MUTANTS[name]
+    # _keys caches per (n, coloring, statistic), not per kernel
     oracle._keys.cache_clear()
+    _patch_everywhere(monkeypatch, original, mutant)
     try:
-        with monkeypatch.context() as m:
-            _patch_everywhere(m, original, mutant)
-            assert _tripped_checks(m) == expected
+        assert _tripped_checks(monkeypatch) == expected
     finally:
         oracle._keys.cache_clear()
 

@@ -28,6 +28,7 @@ Checks and their hypothesis ranges:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -179,13 +180,19 @@ def _sigma(p: float) -> float:
     return math.sqrt(p * (1.0 - p))
 
 
+@functools.lru_cache(maxsize=1)
+def _dist(n1: int, n2: int, p: float) -> BinDiffDist:
+    """The table of one (n1, n2, p), shared by consecutive grid points."""
+    return BinDiffDist(n1, n2, p)
+
+
 def _check_clt_supremum(params: dict) -> tuple[float, float, bool, str]:
     n_pos, n_neg, p = params["n_pos"], params["n_neg"], params["p"]
     n = n_pos + n_neg
     if n < 1 or not 0.0 < p < 1.0:
         return None, None, False, "needs n >= 1 and p in (0,1)"
     sigma = _sigma(p)
-    dist = BinDiffDist(n_pos, n_neg, p)
+    dist = _dist(n_pos, n_neg, p)
     mu = (n_pos - n_neg) * p
     support = np.arange(-n_neg, n_pos + 1)
     cdf = dist.cdf_table
@@ -203,7 +210,7 @@ def _check_pointmass_upper(params: dict) -> tuple[float, float, bool, str]:
     if not 0.0 < p < 1.0:
         return None, None, False, "needs p in (0,1)"
     sigma = _sigma(p)
-    lhs = BinDiffDist(n1, n2, p).pmf(d)
+    lhs = _dist(n1, n2, p).pmf(d)
     rhs = 2 * BERRY_ESSEEN_C * (1.0 - 2.0 * sigma**2) / (
         sigma * math.sqrt(n1 + n2))
     if p > 0.25:
@@ -220,7 +227,7 @@ def _check_step_bound(params: dict) -> tuple[float, float, bool, str]:
         return None, None, False, "needs m <= n"
     if not _logn_over_n(n) <= p < 1.0:
         return None, None, False, "needs log(n)/n <= p < 1"
-    table = BinDiffDist(n, m, p).table
+    table = _dist(n, m, p).table
     lhs = float(np.max(np.abs(np.diff(table))))
     rhs = 20.0 * BERRY_ESSEEN_C / (n * p * (1.0 - p))
     return lhs, rhs, True, ""
@@ -232,8 +239,7 @@ def _check_equal_point_lower(params: dict) -> tuple[float, float, bool, str]:
         return None, None, False, "needs n >= 20"
     if not _logn_over_n(n) <= p <= 1.0 - 10.0 / n:
         return None, None, False, "needs log(n)/n <= p <= 1 - 10/n"
-    dist = BinDiffDist(n, n, p)
-    lhs = dist.pmf(0)
+    lhs = _dist(n, n, p).pmf(0)
     rhs = 1.0 / (6.0 * math.sqrt(n * p * (1.0 - p)))
     return lhs, rhs, True, ""
 
@@ -244,8 +250,7 @@ def _check_pointmass_lower(params: dict) -> tuple[float, float, bool, str]:
         return None, None, False, "needs n >= 520"
     if not _logn_over_n(n) <= p < 1.0 - 10.0 / n:
         return None, None, False, "needs log(n)/n <= p < 1 - 10/n"
-    dist = BinDiffDist(n, n, p)
-    lhs = dist.pmf(d)
+    lhs = _dist(n, n, p).pmf(d)
     rhs = (1.0 / (6.0 * math.sqrt(n * p * (1.0 - p)))
            - 20.0 * BERRY_ESSEEN_C * abs(d) / (n * p * (1.0 - p)))
     return lhs, rhs, True, ""

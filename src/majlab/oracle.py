@@ -4,12 +4,12 @@ are integrated over all 2^C(n,2) edge configurations with exact weights.
 Graphs are edge bitmasks in lexicographic pair order.  The engine holds
 every configuration of an n-vertex graph at once as a (2^E, n) uint8 cube
 of neighbourhood masks (E = C(n,2)), built on first use, and runs a day of
-dynamics for all of them with a few `np.bitwise_count` calls.  A run keeps
-only each configuration's winner, day of unanimity and cap hit; a day-d
-count steps the cube d days.  r-hat and the s-sets are
-`structure.rhat_flags` and `s_sets_flags` called on the whole cube, the
-same kernels `compute_r_hat` and `compute_s_sets` call on one graph, and
-the exact bound report's columns are `stats.trial_record` of the cube.
+dynamics for all of them with a few `np.bitwise_count` calls.  One day
+loop, `_Cube.run`, holds unanimity and gives each configuration's color-1
+set on a day, its day of unanimity and whether it is unsettled.  r-hat
+and the s-sets are `structure.rhat_flags` and `s_sets_flags` called on the
+whole cube, the kernels `compute_r_hat` and `compute_s_sets` call on one
+graph; the exact bound report's columns are `stats.trial_record` of it.
 
 A statistic keys each configuration by a small integer that does not
 depend on p.  The keys and their histogram by edge count are cached per
@@ -256,17 +256,6 @@ class _Cube:
         """One synchronous day in every configuration (twin of step_mask)."""
         return self._pack(takes_color1(self.margins(c1), self._members(c1), rule))
 
-    def day(self, c1m: int, rule: UpdateRule, day: int) -> np.ndarray:
-        """The color-1 set on `day`; a unanimous configuration stays where
-        it ended (MaskTrajectory.count_at) and a cycle repeats by itself."""
-        if day < 0:
-            raise ValueError(f"day must be at least 0, got {day}")
-        full = (1 << self.n) - 1
-        cur = np.full(len(self.rows), c1m, dtype=np.uint8)
-        for _ in range(day):
-            cur = np.where((cur == 0) | (cur == full), cur, self.step(cur, rule))
-        return cur
-
     def rhat(self, c1m: int, w: int) -> np.ndarray:
         """Day-1 margin set of focal vertex w (twin of rhat_mask)."""
         return self._pack(rhat_flags(self.margins(c1m), self._members(c1m),
@@ -278,33 +267,30 @@ class _Cube:
             self.margins(c1m), self._members(c1m), self._neighbours, u, v))
         return s1, s2, ss, _popcount(ss & self.rows[:, u] & self.rows[:, v])
 
-    def run(self, c1m: int, rule: UpdateRule, cap: Optional[int] = None):
-        """Twin of mask_trajectory for every configuration at once: the
-        winner (0 for none), the day of unanimity (-1 for none) and whether
-        the run hit its cap."""
-        if cap is None:
-            cap = (1 << self.n) + 4
-        if cap < 1:
-            raise ValueError("cap must be at least 1")
+    def run(self, c1m: int, rule: UpdateRule, days: int):
+        """Step every configuration `days` days, holding unanimous ones.
+        Returns the color-1 set on day `days`, the day of unanimity (-1 for
+        none) and whether the run is unsettled: neither unanimous nor
+        repeating a set one or two days back (mask_trajectory's "cap")."""
         full = (1 << self.n) - 1
-        size = len(self.rows)
-        winner = np.zeros(size, dtype=np.int8)
-        day = np.full(size, -1, dtype=np.int64)
-        cur = prev = np.full(size, c1m, dtype=np.uint8)
-        done = (cur == 0) | (cur == full)
-        winner[done] = 1 if c1m == full else 2
-        day[done] = 0
-        for d in range(1, cap + 1):
-            if done.all():
+        cur = prev = np.full(len(self.rows), c1m, dtype=np.uint8)
+        held = (cur == 0) | (cur == full)
+        day = np.where(held, 0, -1)
+        repeated = np.zeros(len(cur), dtype=bool)
+        for d in range(1, days + 1):
+            if (held | repeated).all():
+                # every run is in its period <= 2 (Goles & Olivos, 1980), so
+                # an odd number of days left after day d - 1 lands on prev
+                if (days - d) % 2 == 0:
+                    cur = np.where(held, cur, prev)
                 break
-            nxt = self.step(cur, rule)
-            uni = ~done & ((nxt == 0) | (nxt == full))
-            winner[uni] = np.where(nxt[uni] == full, 1, 2)
-            day[uni] = d
+            nxt = np.where(held, cur, self.step(cur, rule))
             # a repeat one or two days back; on day 1 both are day 0
-            done |= uni | (nxt == cur) | (nxt == prev)
+            repeated |= (nxt == cur) | (nxt == prev)
+            held = (nxt == 0) | (nxt == full)
+            day[held & (day < 0)] = d
             prev, cur = cur, nxt
-        return winner, day, ~done
+        return cur, day, ~(held | repeated)
 
 
 @functools.cache
@@ -316,11 +302,16 @@ def _cube(n: int) -> _Cube:
 # queries
 
 class _OneColor:
-    """A statistic of the vertices of one color."""
+    """A statistic of the vertices of one color, on a day >= 0 or within a
+    cap >= 1 where it has one."""
 
     def __post_init__(self):
         if self.color not in (1, 2):
             raise ValueError(f"color must be 1 or 2, got {self.color}")
+        for name, floor in (("day", 0), ("cap", 1)):
+            value = getattr(self, name, None)
+            if value is not None and value < floor:
+                raise ValueError(f"{name} must be at least {floor}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -422,10 +413,11 @@ def _keys(n: int, c1m: int, stat: Statistic) -> tuple[np.ndarray, np.ndarray]:
     """
     cube = _cube(n)
     if isinstance(stat, WinProb):
-        winner, _, capped = cube.run(c1m, stat.rule, stat.cap)
-        keys = np.where(capped, 2, winner == stat.color)
+        held, _, capped = cube.run(c1m, stat.rule, stat.cap or (1 << n) + 4)
+        won = held == ((1 << n) - 1 if stat.color == 1 else 0)
+        keys = np.where(capped, 2, won)
     elif isinstance(stat, (ExpectedCount, VarCount)):
-        c1 = _popcount(cube.day(c1m, stat.rule, stat.day))
+        c1 = _popcount(cube.run(c1m, stat.rule, stat.day)[0])
         keys = c1 if stat.color == 1 else n - c1
     elif isinstance(stat, MomentZ):
         keys = _popcount(cube.step(c1m, UpdateRule.BIASED))
@@ -570,8 +562,8 @@ def exhaustive_identity_scan(n: int,
 
     Colorings are visited one at a time, each against the whole cube.
     """
-    if n > MAX_ORACLE_N:
-        raise ValueError(f"scan limited to n <= {MAX_ORACLE_N}")
+    if not 1 <= n <= MAX_ORACLE_N:
+        raise ValueError(f"scan needs 1 <= n <= {MAX_ORACLE_N}, got {n}")
     p = Fraction(p)
     full = (1 << n) - 1
     cube = _cube(n)
@@ -641,8 +633,8 @@ def enumerate_trial_quantities(n: int, c1: int, p: float,
     if c1 < 2 or n - c1 < 1:
         raise ValueError("need at least two color-1 and one color-2 vertex")
     cube = _cube(n)
-    winner, day, _ = cube.run((1 << c1) - 1, UpdateRule.STANDARD)
-    win1 = (winner == 1) & (day <= cap)
+    held, day, _ = cube.run((1 << c1) - 1, UpdateRule.STANDARD, cap)
     cols = trial_record(lambda flags: cube.margins(cube._pack(flags)),
-                        cube._neighbours, np.arange(n) < c1, win1, day)
+                        cube._neighbours, np.arange(n) < c1,
+                        held == (1 << n) - 1, day)
     return cols, config_weights(p, cube.n_edges, cube.edges)

@@ -8,8 +8,11 @@ trip exactly the checks listed beside it:
   centering), with the violation list uncapped so that no label hides
   behind another;
 * "golden": an exact n <= 5 record of the golden file no longer matches;
-* "trajectory": at n = 4 the cube's runs disagree with `mask_trajectory`,
-  the scalar reference that shares no kernel with the cube.
+* "trajectory": at n = 4 the cube's runs, or its color-1 counts on any day
+  up to two past the longest run, disagree with `mask_trajectory`, the
+  scalar reference that shares no kernel with the cube.
+
+A method is patched on its class.
 """
 
 import itertools
@@ -20,9 +23,10 @@ import numpy as np
 import pytest
 
 from majlab import oracle
-from majlab.dynamics import UpdateRule, takes_color1
-from majlab.oracle import (_cube, exhaustive_identity_scan, mask_trajectory,
-                           oracle_eval, rows_from_mask)
+from majlab.dynamics import UpdateRule, keep_margin, takes_color1
+from majlab.fourier import _masses
+from majlab.oracle import (_Cube, _cube, exhaustive_identity_scan,
+                           mask_trajectory, oracle_eval, rows_from_mask)
 from majlab.probability import bindiff_geq_exact
 from majlab.stats import compute_mu_exact
 from majlab.structure import rhat_flags, s_sets_flags
@@ -67,6 +71,38 @@ def _mu_at_standard_keep_margin(c1, c2, p):
             2 * bindiff_geq_exact(c2 - 1, c1, p, 0) - 1)
 
 
+def _biased_keeps_at_0(rule):
+    return 0
+
+
+def _masses_at_1_minus_p(hist, p):
+    # every pair present with probability 1 - p
+    return _masses(hist, 1 - Fraction(p))
+
+
+def _cube_run(two_back=True, parity=True):
+    """_Cube.run, optionally blind to a repeat two days back or returning
+    the current set at an early stop whatever the days left."""
+    def run(self, c1m, rule, days):
+        full = (1 << self.n) - 1
+        cur = prev = np.full(len(self.rows), c1m, dtype=np.uint8)
+        held = (cur == 0) | (cur == full)
+        day = np.where(held, 0, -1)
+        repeated = np.zeros(len(cur), dtype=bool)
+        for d in range(1, days + 1):
+            if (held | repeated).all():
+                if parity and (days - d) % 2 == 0:
+                    cur = np.where(held, cur, prev)
+                break
+            nxt = np.where(held, cur, self.step(cur, rule))
+            repeated |= (nxt == cur) | (two_back & (nxt == prev))
+            held = (nxt == 0) | (nxt == full)
+            day[held & (day < 0)] = d
+            prev, cur = cur, nxt
+        return cur, day, ~(held | repeated)
+    return run
+
+
 def _s_sets_then(post):
     return lambda *args: post(*s_sets_flags(*args))
 
@@ -94,6 +130,14 @@ MUTANTS = {
     "mu-at-standard-keep-margin": (compute_mu_exact,
                                    _mu_at_standard_keep_margin,
                                    {"centering", "golden"}),
+    "biased-keeps-at-margin-0": (keep_margin, _biased_keeps_at_0,
+                                 {"golden", "trajectory"}),
+    "masses-at-1-minus-p": (_masses, _masses_at_1_minus_p,
+                            {"centering", "golden"}),
+    "cube-run-blind-two-days-back": (_Cube.run, _cube_run(two_back=False),
+                                     {"trajectory"}),
+    "cube-run-without-parity": (_Cube.run, _cube_run(parity=False),
+                                {"trajectory"}),
     "s2-takes-s1": (s_sets_flags, _s_sets_then(_s2_takes_s1),
                     {"partition", "day2"}),
     "no-s-star": (s_sets_flags, _s_sets_then(_no_s_star),
@@ -102,7 +146,11 @@ MUTANTS = {
 
 
 def _patch_everywhere(monkeypatch, original, mutant):
-    name = original.__name__
+    owner, _, name = original.__qualname__.rpartition(".")
+    if owner:
+        monkeypatch.setattr(getattr(sys.modules[original.__module__], owner),
+                            name, mutant)
+        return
     bound = [mod for key, mod in list(sys.modules.items())
              if key.split(".")[0] == "majlab"
              and getattr(mod, name, None) is original]
@@ -122,11 +170,18 @@ def _tripped_checks(monkeypatch):
     cube = _cube(n)
     all_rows = [rows_from_mask(n, m) for m in range(len(cube.rows))]
     for c1m, rule in itertools.product(range(1 << n), UpdateRule):
-        got = zip(*(a.tolist() for a in cube.run(c1m, rule)))
+        held, day, capped = cube.run(c1m, rule, (1 << n) + 4)
+        winner = np.select([held == (1 << n) - 1, held == 0], [1, 2])
+        got = zip(winner.tolist(), day.tolist(), capped.tolist())
+        ts = [mask_trajectory(n, rows, c1m, rule) for rows in all_rows]
         want = [(t.winner or 0, -1 if t.day is None else t.day, t.kind == "cap")
-                for t in (mask_trajectory(n, rows, c1m, rule)
-                          for rows in all_rows)]
-        if list(got) != want:
+                for t in ts]
+        # past a trajectory's end its cycle repeats and unanimity holds
+        days = range(max(len(t.counts) for t in ts) + 2)
+        counts = [np.bitwise_count(cube.run(c1m, rule, d)[0]).tolist()
+                  for d in days]
+        if (list(got) != want
+                or counts != [[t.count_at(d) for t in ts] for d in days]):
             tripped.add("trajectory")
             break
     return tripped

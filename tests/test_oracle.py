@@ -10,8 +10,8 @@ import pytest
 from majlab.dynamics import UpdateRule
 from majlab.fourier import edge_list, fourier_coefficients
 from majlab.graphs import FixedGap, GraphParams, sample_gnp, split_seed
-from majlab.oracle import (ExpectedCount, FourierCoeff, MomentZ, OracleQuery,
-                           SetStat, VarCount, WinProb, _cube, _keys,
+from majlab.oracle import (MAX_ORACLE_N, ExpectedCount, FourierCoeff, MomentZ,
+                           OracleQuery, SetStat, VarCount, WinProb, _cube, _keys,
                            enumerate_trial_quantities, exhaustive_identity_scan,
                            mask_trajectory, oracle_eval, oracle_vs_mc,
                            rhat_mask, rows_from_mask, s_sets_mask, step_mask)
@@ -223,15 +223,15 @@ def test_set_statistics_check_focal_vertices(colors, stat):
 
 
 @pytest.mark.parametrize("stat, match", [
-    (ExpectedCount(day=-3), "day must be at least 0"),
-    (VarCount(day=-1), "day must be at least 0"),
-    (WinProb(cap=0), "cap must be at least 1"),
+    (functools.partial(ExpectedCount, day=-3), "day must be at least 0"),
+    (functools.partial(VarCount, day=-1), "day must be at least 0"),
+    (functools.partial(WinProb, cap=0), "cap must be at least 1"),
 ])
 def test_day_and_cap_queries_reject_values_below_their_floor(stat, match):
     # a negative day must not answer with the day-0 value, nor cap 0 with
     # every configuration capped
     with pytest.raises(ValueError, match=match):
-        oracle_eval(OracleQuery(3, Fraction(1, 2), (1, 1, 2), stat))
+        oracle_eval(OracleQuery(3, Fraction(1, 2), (1, 1, 2), stat()))
 
 
 @pytest.mark.parametrize("build", [
@@ -240,12 +240,17 @@ def test_day_and_cap_queries_reject_values_below_their_floor(stat, match):
     lambda: ExpectedCount(day=1, color=3),
     lambda: VarCount(day=1, color=0),
     lambda: MomentZ(k=-1),
+    lambda: WinProb(cap=0),
+    lambda: ExpectedCount(day=-1),
+    lambda: VarCount(day=-1),
     lambda: OracleQuery(0, Fraction(1, 2), (), WinProb()),
 ], ids=["winprob-color0", "winprob-color3", "expcount-color3",
-        "varcount-color0", "momentz-k-1", "n0"])
+        "varcount-color0", "momentz-k-1", "winprob-cap0", "expcount-day-1",
+        "varcount-day-1", "n0"])
 def test_statistic_fields_checked_on_construction(build):
     # a color other than 1 or 2 used to answer for color 2 or for neither,
-    # k = -1 a reciprocal moment, and n = 0 a probability of 1
+    # k = -1 a reciprocal moment, and n = 0 a probability of 1; a bad day or
+    # cap is refused before any enumeration
     with pytest.raises(ValueError):
         build()
 
@@ -301,6 +306,13 @@ def test_identity_scan_small():
     assert scan.combos == 64
 
 
+@pytest.mark.parametrize("n", [-1, 0, MAX_ORACLE_N + 1])
+def test_identity_scan_checks_n(n):
+    # n = 0 used to die with IndexError and n = -1 with "negative shift count"
+    with pytest.raises(ValueError, match=f"scan needs 1 <= n <= {MAX_ORACLE_N}"):
+        exhaustive_identity_scan(n)
+
+
 def test_identity_scan_catches_wrong_centering_constants(monkeypatch):
     # the standard keep margin makes compute_mu_exact give wrong biased mu's,
     # while the cube still steps the biased rule
@@ -333,6 +345,14 @@ def _c1m(colors):
     return sum(1 << i for i, c in enumerate(colors) if c == 1)
 
 
+def _cube_runs(cube, c1m, rule, days):
+    """(winner or 0, day of unanimity or -1, capped) of every configuration,
+    as `mask_trajectory` gives them at cap = days."""
+    held, day, capped = cube.run(c1m, rule, days)
+    winner = np.select([held == (1 << cube.n) - 1, held == 0], [1, 2])
+    return list(zip(winner.tolist(), day.tolist(), capped.tolist()))
+
+
 def test_cube_kernels_match_scalar_kernels():
     for n in range(1, 6):
         cube = _cube(n)
@@ -346,14 +366,15 @@ def test_cube_kernels_match_scalar_kernels():
                 trajs = {cap: [mask_trajectory(n, rows, c1m, rule, cap)
                                for rows in all_rows] for cap in (None, 1, 2)}
                 for cap, ts in trajs.items():
-                    got = zip(*(a.tolist() for a in cube.run(c1m, rule, cap)))
-                    want = [(t.winner or 0, -1 if t.day is None else t.day,
-                             t.kind == "cap") for t in ts]
-                    assert list(got) == want, (n, colors, rule, cap)
+                    days = (1 << n) + 4 if cap is None else cap
+                    assert _cube_runs(cube, c1m, rule, days) == [
+                        (t.winner or 0, -1 if t.day is None else t.day,
+                         t.kind == "cap") for t in ts], (n, colors, rule, cap)
                 # past a trajectory's end its cycle repeats and unanimity holds
                 ts = trajs[None]
                 for d in range(max(len(t.counts) for t in ts) + 2):
-                    assert np.bitwise_count(cube.day(c1m, rule, d)).tolist() \
+                    held = cube.run(c1m, rule, d)[0]
+                    assert np.bitwise_count(held).tolist() \
                         == [t.count_at(d) for t in ts], (n, colors, rule, d)
             for w in range(n):
                 assert cube.rhat(c1m, w).tolist() == \

@@ -11,9 +11,11 @@ normalizer is irrational, each coefficient is kept internally as the exact
 rational r_S = E[f * prod_{e in S}(x_e + 1 - 2p)] together with |S|, so that
 squares, ratios, and reconstructions stay exact when p is rational.
 
-Exact and float tables share one transform: exact values go through the
-same numpy butterfly as an object array of Fractions, and exact tables hand
-their values out as lists.
+Z_v reads only v's m - 1 star edges, so coefficients off the star are 0 and
+the rest come from the 2^(m-1) star configurations: with the star basis
+matrix Phi[S, x] = prod_{e in S}(x_e + 1 - 2p), r = Phi @ (w Z^power) and the
+reconstruction is Phi^T @ (r / (4p(1-p))^|S|).  Exact tables hold Fractions
+in numpy object arrays and hand their values out as lists.
 """
 
 from __future__ import annotations
@@ -75,23 +77,30 @@ def _set_sizes(n_bits: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64))
 
 
+def _move_bits(masks: np.ndarray, src, dst) -> np.ndarray:
+    """Bit src[j] of each mask moved to bit dst[j]; every other bit dropped."""
+    return sum(((masks >> s) & 1) << d for s, d in zip(src, dst))
+
+
+def _star(m: int, v: int) -> list[int]:
+    """Bit index of each edge at v in canonical edge order, so that star
+    edge j joins v to the j-th other vertex."""
+    return [k for k, e in enumerate(edge_list(m)) if v in e]
+
+
+def _star_masks(m: int, v: int) -> np.ndarray:
+    """The subset mask S of each subset of v's star, in star-subset order."""
+    return _move_bits(np.arange(1 << (m - 1)), range(m - 1), _star(m, v))
+
+
 def _keep_flags(m: int, colors: Sequence[int], v: int) -> np.ndarray:
-    """For every edge configuration, does v keep its color on biased day 1."""
-    star1 = 0
-    star2 = 0
-    for k, (a, b) in enumerate(edge_list(m)):
-        if v in (a, b):
-            other = b if a == v else a
-            if colors[other] == 1:
-                star1 |= 1 << k
-            else:
-                star2 |= 1 << k
-    # 8-bit counts keep the 2^21-entry arrays of m = 7 small
-    configs = np.arange(1 << (m * (m - 1) // 2), dtype=np.uint64)
-    d1 = np.bitwise_count(configs & np.uint64(star1)).astype(np.int8)
-    d2 = np.bitwise_count(configs & np.uint64(star2)).astype(np.int8)
+    """For every configuration of v's star, does v keep its color on biased
+    day 1.  Star edge j joins v to the j-th other vertex and adds that
+    vertex's color sign to v's margin when present."""
+    signs = np.array([1 if colors[u] == 1 else -1 for u in range(m) if u != v])
+    present = np.arange(1 << (m - 1))[:, None] >> np.arange(m - 1) & 1
     was1 = colors[v] == 1
-    return takes_color1(d1 - d2, was1, UpdateRule.BIASED) == was1
+    return takes_color1(present @ signs, was1, UpdateRule.BIASED) == was1
 
 
 def _z_powers(keep: np.ndarray, mu_v, power: int) -> np.ndarray:
@@ -102,32 +111,12 @@ def _z_powers(keep: np.ndarray, mu_v, power: int) -> np.ndarray:
     return (signs - mu_v) ** power
 
 
-def _forward(a: np.ndarray, n_bits: int, p) -> np.ndarray:
-    """x-indexed w(x)f(x) -> S-indexed r_S, in place."""
-    t0 = -2 * p          # edge absent: x_e = -1
-    t1 = 2 - 2 * p       # edge present: x_e = +1
-    for k in range(n_bits):
-        low = 1 << k
-        shaped = a.reshape(-1, 2, low)
-        x0 = shaped[:, 0, :].copy()
-        x1 = shaped[:, 1, :]
-        shaped[:, 0, :] = x0 + x1
-        shaped[:, 1, :] = t0 * x0 + t1 * x1
-    return a
-
-
-def _inverse(a: np.ndarray, n_bits: int, p) -> np.ndarray:
-    """S-indexed c_S -> x-indexed sum_S c_S prod_{k in S} t_k(x_k), in place."""
-    t0 = -2 * p
-    t1 = 2 - 2 * p
-    for k in range(n_bits):
-        low = 1 << k
-        shaped = a.reshape(-1, 2, low)
-        s0 = shaped[:, 0, :].copy()
-        s1 = shaped[:, 1, :]
-        shaped[:, 0, :] = s0 + t0 * s1
-        shaped[:, 1, :] = s0 + t1 * s1
-    return a
+def _basis(n_bits: int, p) -> np.ndarray:
+    """Phi[S, x] = prod_{e in S}(x_e + 1 - 2p) over the subsets S and the
+    configurations x of n_bits edges: 2 - 2p where x has e, -2p where not."""
+    s, x = np.ogrid[:1 << n_bits, :1 << n_bits]
+    return (_powers(2 - 2 * p, np.bitwise_count(s & x))
+            * _powers(-2 * p, np.bitwise_count(s & ~x)))
 
 
 @dataclass
@@ -142,7 +131,7 @@ class FourierTable:
     exact: bool
     mu_v: Union[float, Fraction]
     scaled: Union[list, np.ndarray]  # indexed by the subset bitmask S
-    # per configuration: does v keep its color on biased day 1
+    # per configuration of v's star: does v keep its color on biased day 1
     keep: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -168,10 +157,6 @@ class FourierTable:
                 raise ValueError(f"not an edge of the vertex set: {e}")
             mask |= 1 << index[e]
         return mask
-
-    def _listed(self, a: np.ndarray) -> Union[list, np.ndarray]:
-        """Exact tables hand out lists of Fractions, float tables arrays."""
-        return a.tolist() if self.exact else a
 
     def _norms_sq(self) -> np.ndarray:
         """(4p(1-p))^|S| per subset mask S: the squared norm of
@@ -209,27 +194,36 @@ class FourierTable:
         total = np.sum(np.asarray(self.scaled) ** 2 / self._norms_sq())
         return total if self.exact else float(total)
 
+    def _per_config(self, star_values: np.ndarray) -> Union[list, np.ndarray]:
+        """Values over v's star configurations spread to every configuration:
+        lists of Fractions from exact tables, arrays from float tables."""
+        configs = np.arange(1 << self.n_edges)
+        a = star_values[_move_bits(configs, _star(self.m, self.v), range(self.m - 1))]
+        return a.tolist() if self.exact else a
+
     def second_moment(self) -> Union[float, Fraction]:
         """E[(Z_v^power)^2] straight from the definition (Parseval's mate)."""
-        w = config_weights(self.p, self.n_edges, _set_sizes(self.n_edges))
-        z = _z_powers(self.keep, self.mu_v, self.power)
-        total = np.sum(w * z ** 2)
+        k = self.m - 1
+        w = config_weights(self.p, k, _set_sizes(k))
+        total = np.sum(w * _z_powers(self.keep, self.mu_v, self.power) ** 2)
         return total if self.exact else float(total)
 
     def function_values(self) -> Union[list, np.ndarray]:
         """Z_v^power on every configuration, recomputed from the definition."""
-        return self._listed(_z_powers(self.keep, self.mu_v, self.power))
+        return self._per_config(_z_powers(self.keep, self.mu_v, self.power))
 
     def reconstruct_all(self) -> Union[list, np.ndarray]:
         """Evaluate sum_S coefficient(S) Phi_S on every configuration at once."""
-        c = np.asarray(self.scaled) / self._norms_sq()
-        return self._listed(_inverse(c, self.n_edges, self.p))
+        masks = _star_masks(self.m, self.v)
+        c = np.asarray(self.scaled)[masks] / self._norms_sq()[masks]
+        return self._per_config(_basis(self.m - 1, self.p).T @ c)
 
 
 def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
                          power: int = 1,
                          exact: Optional[bool] = None) -> FourierTable:
-    """Coefficients of Z_v^power by exact expectation over all 2^C(m,2) graphs.
+    """Coefficients of Z_v^power by exact expectation over the 2^(m-1)
+    configurations of v's star; every coefficient off the star is 0.
 
     Exact-rational arithmetic is the default for m <= 5 (p is converted to a
     Fraction); larger m uses float64.  power >= 2 gives the coefficients of
@@ -244,7 +238,6 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
         raise ValueError(f"vertex {v} out of range")
     if power < 1:
         raise ValueError("power must be at least 1")
-    n_edges = m * (m - 1) // 2
     if exact is None:
         exact = m <= _EXACT_DEFAULT_LIMIT
     c1 = sum(1 for c in colors if c == 1)
@@ -257,8 +250,10 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
     mu1, mu2 = compute_mu(c1, c2, q)
     mu_v = mu1 if colors[v] == 1 else mu2
     keep = _keep_flags(m, colors, v)
-    a = (config_weights(q, n_edges, _set_sizes(n_edges))
-         * _z_powers(keep, mu_v, power))
-    scaled = _forward(a, n_edges, q)
+    k = m - 1
+    r = _basis(k, q) @ (config_weights(q, k, _set_sizes(k))
+                        * _z_powers(keep, mu_v, power))
+    scaled = np.full(1 << (m * (m - 1) // 2), Fraction(0) if exact else 0.0)
+    scaled[_star_masks(m, v)] = r
     return FourierTable(m, colors, v, q, power, exact, mu_v,
                         scaled.tolist() if exact else scaled, keep)

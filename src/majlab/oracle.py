@@ -459,19 +459,18 @@ def _table(q: OracleQuery) -> tuple[np.ndarray, np.ndarray, list]:
 def oracle_eval(q: OracleQuery) -> OracleResult:
     """The statistic's expectation under G(n, p), or for VarCount its
     variance.  Rational p gives an exact Fraction; a float p gives the exact
-    answer at its binary value, rounded once to a float (cap_mass too).
+    answer at its binary value, rounded once to a float (cap_mass and a
+    FourierCoeff's scaled too).
     """
+    out = Fraction if q.exact else float
     if isinstance(q.statistic, FourierCoeff):
-        table = fourier_coefficients(q.n, q.colors, q.statistic.v, q.p,
-                                     exact=q.exact)
-        value = table.coefficient(list(q.statistic.s))
-        return OracleResult(value, {
-            "scaled": table.coefficient_scaled(list(q.statistic.s)),
-            "exact": q.exact,
-        })
+        table = fourier_coefficients(q.n, q.colors, q.statistic.v,
+                                     Fraction(q.p), exact=True)
+        s = list(q.statistic.s)
+        return OracleResult(table.coefficient(s), {
+            "scaled": out(table.coefficient_scaled(s)), "exact": q.exact})
     _, hist, values = _table(q)
     mass = _masses(hist, q.p)
-    out = Fraction if q.exact else float
     total = sum(m * v for m, v in zip(mass, values))
     if isinstance(q.statistic, VarCount):
         total = sum(m * v * v for m, v in zip(mass, values)) - total * total

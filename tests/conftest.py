@@ -67,6 +67,35 @@ def naive_step(n: int, edges: set[frozenset], colors: list[int],
     return out
 
 
+def brute_fourier(m: int, colors, v: int, p: Fraction,
+                  power: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(r_S for every subset mask S, Z_v^power on every configuration) by
+    enumerating all 2^C(m,2) configurations x: Z_v from `naive_step` under
+    the biased rule, mu_v = 2 P(v keeps) - 1 from the same enumeration, and
+    r_S = sum_x w(x) Z_v(x)^power prod_{e in S}(2 - 2p if x has e, else -2p).
+    """
+    p = Fraction(p)
+    n_edges = m * (m - 1) // 2
+    weights, keeps, chars = [], [], []
+    for x, edges in enumerate_small_graphs(m):
+        weights.append(p ** len(edges) * (1 - p) ** (n_edges - len(edges)))
+        day1 = naive_step(m, {frozenset(e) for e in edges}, list(colors),
+                          UpdateRule.BIASED)
+        keeps.append(day1[v] == colors[v])
+        # prod_{e in S} per subset mask S, doubled in one edge at a time
+        char = [Fraction(1)]
+        for k in range(n_edges):
+            t = 2 - 2 * p if x >> k & 1 else -2 * p
+            char += [c * t for c in char]
+        chars.append(char)
+    mu = 2 * sum(w for w, keep in zip(weights, keeps) if keep) - 1
+    values = [((1 if keep else -1) - mu) ** power for keep in keeps]
+    wz = [w * z for w, z in zip(weights, values)]
+    scaled = [sum(a * char[s] for a, char in zip(wz, chars))
+              for s in range(1 << n_edges)]
+    return scaled, values
+
+
 def graph_per_day_run(g: ColoredGraph, rule: UpdateRule,
                       cap: int) -> DynamicsTrace:
     """The run loop that steps whole graphs: every day is a new ColoredGraph

@@ -7,6 +7,8 @@ import pytest
 from majlab import fourier
 from majlab.fourier import _masses, config_weights, edge_list, fourier_coefficients
 
+from conftest import brute_fourier
+
 COLORINGS = {
     2: [(1, 2)],
     3: [(1, 1, 2), (1, 2, 2)],
@@ -40,6 +42,29 @@ def test_coefficients_supported_on_star():
                 for mask in range(1 << t.n_edges):
                     if mask & ~star:
                         assert t.scaled[mask] == 0
+
+
+def _brute_force_cases():
+    """Every two-color coloring, vertex, power 1-3 and p in {1/4, 2/5} at
+    m <= 3; COLORINGS[4] with every vertex and power at p = 1/4."""
+    for m in (2, 3):
+        for colors in itertools.product((1, 2), repeat=m):
+            if len(set(colors)) == 2:
+                yield from itertools.product(
+                    [m], [colors], range(m), (1, 2, 3),
+                    (Fraction(1, 4), Fraction(2, 5)))
+    yield from itertools.product([4], COLORINGS[4], range(4), (1, 2, 3),
+                                 [Fraction(1, 4)])
+
+
+def test_every_coefficient_matches_brute_force_over_the_whole_cube():
+    # the table is built over v's star and writes 0 off it; the brute force
+    # sums over every configuration for every subset, star or not
+    for m, colors, v, power, p in _brute_force_cases():
+        scaled, values = brute_fourier(m, colors, v, p, power)
+        t = fourier_coefficients(m, colors, v, p, power=power)
+        assert t.scaled == scaled, (m, colors, v, power, p)
+        assert t.function_values() == values, (m, colors, v, power, p)
 
 
 def test_parseval_equals_one_minus_mu_sq():

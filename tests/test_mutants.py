@@ -10,11 +10,17 @@ trip exactly the checks listed beside it:
 * "golden": an exact n <= 5 record of the golden file no longer matches;
 * "trajectory": at n = 4 the cube's runs, or its color-1 counts on any day
   up to two past the longest run, disagree with `mask_trajectory`, the
-  scalar reference that shares no kernel with the cube.
+  scalar reference that shares no kernel with the cube;
+* "simulator": at n = 4 `dynamics.run` on a `ColoredGraph.from_edges`, for
+  every configuration, coloring and rule, disagrees with `mask_trajectory`;
+* "fourier": a few m <= 4 Fourier tables, every subset mask of `scaled`
+  and every configuration's function value, disagree with the brute force
+  over the whole edge cube (`conftest.brute_fourier`).
 
 A method is patched on its class.
 """
 
+import functools
 import itertools
 import sys
 from fractions import Fraction
@@ -23,17 +29,34 @@ import numpy as np
 import pytest
 
 from majlab import oracle
-from majlab.dynamics import UpdateRule, keep_margin, takes_color1
-from majlab.fourier import _masses
+from majlab.dynamics import (CapReached, TwoCycle, Unanimity, UpdateRule,
+                             keep_margin, margins, run, takes_color1)
+from majlab.fourier import (_basis, _masses, _star, edge_list,
+                            fourier_coefficients)
+from majlab.graphs import ColoredGraph, unpack_row
 from majlab.oracle import (_Cube, _cube, exhaustive_identity_scan,
                            mask_trajectory, oracle_eval, rows_from_mask)
 from majlab.probability import bindiff_geq_exact
 from majlab.stats import compute_mu_exact
 from majlab.structure import rhat_flags, s_sets_flags
 
-from conftest import golden_records
+from conftest import brute_fourier, golden_records
 
 _SCAN_LABELS = ("rhat", "partition", "day2", "centering")
+_FOURIER_TABLES = [(3, (1, 1, 2), 1, 2), (4, (1, 1, 2, 2), 0, 1),
+                   (4, (1, 1, 1, 2), 3, 3)]  # (m, colors, v, power) at p = 1/4
+
+# the references share no kernel with any mutant, so one build serves all
+_brute_fourier = functools.cache(brute_fourier)
+
+
+@functools.cache
+def _trajectories(n):
+    """mask_trajectory of every (configuration, coloring, rule) at n."""
+    return {(mask, c1m, rule): mask_trajectory(n, rows_from_mask(n, mask),
+                                               c1m, rule)
+            for mask in range(1 << len(edge_list(n)))
+            for c1m, rule in itertools.product(range(1 << n), UpdateRule)}
 
 
 def _ties_to_color1(margin, color1, rule):
@@ -103,6 +126,20 @@ def _cube_run(two_back=True, parity=True):
     return run
 
 
+def _margins_with_own_vote(g, color1_words):
+    own = unpack_row(color1_words, g.n)
+    return margins(g, color1_words) + np.where(own, 1, -1)
+
+
+def _star_reversed(m, v):
+    return _star(m, v)[::-1]
+
+
+def _basis_factors_swapped(n_bits, p):
+    # column x read at its complement: 2 - 2p where x lacks e, -2p where not
+    return _basis(n_bits, p)[:, ::-1]
+
+
 def _s_sets_then(post):
     return lambda *args: post(*s_sets_flags(*args))
 
@@ -117,10 +154,11 @@ def _no_s_star(s1, s2, ss):
 
 MUTANTS = {
     "standard-ties-to-color-1": (takes_color1, _ties_to_color1,
-                                 {"golden", "trajectory"}),
+                                 {"golden", "trajectory", "simulator"}),
     "takes-color1-flipped-at-margin-1": (
         takes_color1, _flipped_at_margin_1,
-        {"partition", "day2", "centering", "golden", "trajectory"}),
+        {"partition", "day2", "centering", "golden", "trajectory",
+         "simulator", "fourier"}),
     "rhat-without-w-vote": (rhat_flags, _rhat_without_w_vote,
                             {"rhat", "golden"}),
     "s1-at-gap-plus-0": (s_sets_flags, _s_sets_read_at(0, 2),
@@ -129,9 +167,10 @@ MUTANTS = {
                          {"day2", "golden"}),
     "mu-at-standard-keep-margin": (compute_mu_exact,
                                    _mu_at_standard_keep_margin,
-                                   {"centering", "golden"}),
+                                   {"centering", "golden", "fourier"}),
     "biased-keeps-at-margin-0": (keep_margin, _biased_keeps_at_0,
-                                 {"golden", "trajectory"}),
+                                 {"golden", "trajectory", "simulator",
+                                  "fourier"}),
     "masses-at-1-minus-p": (_masses, _masses_at_1_minus_p,
                             {"centering", "golden"}),
     "cube-run-blind-two-days-back": (_Cube.run, _cube_run(two_back=False),
@@ -142,6 +181,10 @@ MUTANTS = {
                     {"partition", "day2"}),
     "no-s-star": (s_sets_flags, _s_sets_then(_no_s_star),
                   {"partition", "day2", "golden"}),
+    "margins-with-own-vote": (margins, _margins_with_own_vote, {"simulator"}),
+    "fourier-star-reversed": (_star, _star_reversed, {"fourier"}),
+    "fourier-basis-factors-swapped": (_basis, _basis_factors_swapped,
+                                      {"fourier"}),
 }
 
 
@@ -168,12 +211,12 @@ def _tripped_checks(monkeypatch):
         tripped.add("golden")
     n = 4
     cube = _cube(n)
-    all_rows = [rows_from_mask(n, m) for m in range(len(cube.rows))]
+    trajectories = _trajectories(n)
     for c1m, rule in itertools.product(range(1 << n), UpdateRule):
         held, day, capped = cube.run(c1m, rule, (1 << n) + 4)
         winner = np.select([held == (1 << n) - 1, held == 0], [1, 2])
         got = zip(winner.tolist(), day.tolist(), capped.tolist())
-        ts = [mask_trajectory(n, rows, c1m, rule) for rows in all_rows]
+        ts = [trajectories[mask, c1m, rule] for mask in range(len(cube.rows))]
         want = [(t.winner or 0, -1 if t.day is None else t.day, t.kind == "cap")
                 for t in ts]
         # past a trajectory's end its cycle repeats and unanimity holds
@@ -184,7 +227,32 @@ def _tripped_checks(monkeypatch):
                 or counts != [[t.count_at(d) for t in ts] for d in days]):
             tripped.add("trajectory")
             break
+    if not _simulator_agrees(n, trajectories):
+        tripped.add("simulator")
+    p = Fraction(1, 4)
+    for m, colors, v, power in _FOURIER_TABLES:
+        table = fourier_coefficients(m, colors, v, p, power=power)
+        if [table.scaled, table.function_values()] != list(
+                _brute_fourier(m, colors, v, p, power)):
+            tripped.add("fourier")
     return tripped
+
+
+def _simulator_agrees(n, trajectories):
+    cap = (1 << n) + 4
+    for (mask, c1m, rule), t in trajectories.items():
+        edges = [e for k, e in enumerate(edge_list(n)) if mask >> k & 1]
+        colors = [1 if c1m >> i & 1 else 2 for i in range(n)]
+        trace = run(ColoredGraph.from_edges(n, edges, colors), rule, cap)
+        if t.kind == "unanimity":
+            end = Unanimity(t.winner, t.day)
+        else:
+            end = (TwoCycle(t.entered_day, t.period) if t.kind == "cycle"
+                   else CapReached(cap))
+        if (trace.termination != end
+                or [c for _, c in trace.counts] != list(t.counts)):
+            return False
+    return True
 
 
 def test_unmutated_checks_pass(monkeypatch):
@@ -205,4 +273,5 @@ def test_mutant_trips_its_checks(monkeypatch, name):
 
 def test_every_check_trips_under_some_mutant():
     tripped = set().union(*(expected for *_, expected in MUTANTS.values()))
-    assert tripped == {*_SCAN_LABELS, "golden", "trajectory"}
+    assert tripped == {*_SCAN_LABELS, "golden", "trajectory", "simulator",
+                       "fourier"}

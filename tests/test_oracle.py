@@ -183,6 +183,26 @@ def test_fourier_query_passthrough():
     assert oracle_eval(q).value == 0.0
 
 
+def test_float_fourier_query_is_its_exact_twin_rounded_once():
+    # a float p is answered from the exact table at its binary value
+    q = OracleQuery(4, 0.3, (1, 1, 2, 2), FourierCoeff(0, ((0, 1), (0, 2))))
+    assert oracle_eval(q).details["scaled"] == 0.10583999999999999
+    for n in (3, 4, 5, 6):
+        colors = (1,) * (n - n // 2) + (2,) * (n // 2)
+        for v in (0, n - 1):
+            star = [e for e in edge_list(n) if v in e]
+            off = [e for e in edge_list(n) if v not in e]
+            for s, p in itertools.product(
+                    [(), star[:1], star[:2], star, off[:1] + star[:1]],
+                    (0.3, 0.1, 2 / 3)):
+                fq = OracleQuery(n, p, colors, FourierCoeff(v, tuple(s)))
+                eq = dataclasses.replace(fq, p=Fraction(p))
+                got, twin = oracle_eval(fq), oracle_eval(eq)
+                assert type(got.details["scaled"]) is float
+                assert got.details["scaled"] == float(twin.details["scaled"])
+                assert got.value == twin.value
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         OracleQuery(7, 0.5, (1,) * 7, WinProb())

@@ -36,6 +36,7 @@ print("pointwise reconstruction on all",
 base = table
 for level in (2, 3):
     tl = fourier_coefficients(m, colors, v, p, power=level)
-    ok = all(abs(tl.scaled[s]) <= 2**level * abs(base.scaled[s])
+    ok = all(abs(tl.coefficient_scaled(s))
+             <= 2**level * abs(base.coefficient_scaled(s))
              for s in range(1, 1 << base.n_edges))
     print(f"power {level}: |r| <= 2^{level} |r_base| on S != {{}}: {ok}")

@@ -12,10 +12,10 @@ rational r_S = E[f * prod_{e in S}(x_e + 1 - 2p)] together with |S|, so that
 squares, ratios, and reconstructions stay exact when p is rational.
 
 Z_v reads only v's m - 1 star edges, so coefficients off the star are 0 and
-the rest come from the 2^(m-1) star configurations: with the star basis
+a table stores the 2^(m-1) subsets of the star alone: with the star basis
 matrix Phi[S, x] = prod_{e in S}(x_e + 1 - 2p), r = Phi @ (w Z^power) and the
 reconstruction is Phi^T @ (r / (4p(1-p))^|S|).  Exact tables hold Fractions
-in numpy object arrays and hand their values out as lists.
+and hand their values out as lists.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ def _star(m: int, v: int) -> list[int]:
     return [k for k, e in enumerate(edge_list(m)) if v in e]
 
 
-def _star_masks(m: int, v: int) -> np.ndarray:
-    """The subset mask S of each subset of v's star, in star-subset order."""
-    return _move_bits(np.arange(1 << (m - 1)), range(m - 1), _star(m, v))
-
-
 def _keep_flags(m: int, colors: Sequence[int], v: int) -> np.ndarray:
     """For every configuration of v's star, does v keep its color on biased
     day 1.  Star edge j joins v to the j-th other vertex and adds that
@@ -121,7 +116,7 @@ def _basis(n_bits: int, p) -> np.ndarray:
 
 @dataclass
 class FourierTable:
-    """All coefficients of Z_v^power over the edge cube of an m-vertex set."""
+    """Coefficients of Z_v^power over the edge cube of an m-vertex set."""
 
     m: int
     colors: tuple[int, ...]
@@ -130,7 +125,7 @@ class FourierTable:
     power: int
     exact: bool
     mu_v: Union[float, Fraction]
-    scaled: Union[list, np.ndarray]  # indexed by the subset bitmask S
+    scaled: Union[list, np.ndarray]  # by star subset, bit j = star edge j
     # per configuration of v's star: does v keep its color on biased day 1
     keep: np.ndarray = field(repr=False, compare=False)
 
@@ -159,26 +154,29 @@ class FourierTable:
         return mask
 
     def _norms_sq(self) -> np.ndarray:
-        """(4p(1-p))^|S| per subset mask S: the squared norm of
+        """(4p(1-p))^|S| per subset S of v's star: the squared norm of
         prod_{e in S}(x_e + 1 - 2p)."""
-        return _powers(4 * self.p * (1 - self.p), _set_sizes(self.n_edges))
+        return _powers(4 * self.p * (1 - self.p), _set_sizes(self.m - 1))
 
     def coefficient_scaled(self, s) -> Union[float, Fraction]:
-        """r_S = coefficient * (2 sqrt(p(1-p)))^|S|; exact when p is rational."""
-        return self.scaled[self._mask_of(s)]
+        """r_S = coefficient * (2 sqrt(p(1-p)))^|S| for a subset mask or edge
+        list S; exact when p is rational, and 0 when S leaves v's star."""
+        mask, star = self._mask_of(s), _star(self.m, self.v)
+        if mask & ~sum(1 << k for k in star):
+            return Fraction(0) if self.exact else 0.0
+        return self.scaled[_move_bits(mask, star, range(self.m - 1))]
 
     def coefficient(self, s) -> float:
         mask = self._mask_of(s)
-        size = int(mask).bit_count()
-        norm = (2.0 * math.sqrt(float(self.p) * (1.0 - float(self.p)))) ** size
-        return float(self.scaled[mask]) / norm
+        norm = 2.0 * math.sqrt(float(self.p) * (1.0 - float(self.p)))
+        return float(self.coefficient_scaled(mask)) / norm ** mask.bit_count()
 
     def coefficient_sq(self, s) -> Union[float, Fraction]:
         """Squared coefficient; exact rational in exact mode."""
         mask = self._mask_of(s)
-        size = int(mask).bit_count()
-        r = self.scaled[mask] if self.exact else float(self.scaled[mask])
-        return r**2 / (4 * self.p * (1 - self.p)) ** size
+        r = self.coefficient_scaled(mask)
+        r = r if self.exact else float(r)
+        return r**2 / (4 * self.p * (1 - self.p)) ** mask.bit_count()
 
     @property
     def coefficients(self) -> dict[frozenset, float]:
@@ -214,8 +212,7 @@ class FourierTable:
 
     def reconstruct_all(self) -> Union[list, np.ndarray]:
         """Evaluate sum_S coefficient(S) Phi_S on every configuration at once."""
-        masks = _star_masks(self.m, self.v)
-        c = np.asarray(self.scaled)[masks] / self._norms_sq()[masks]
+        c = np.asarray(self.scaled) / self._norms_sq()
         return self._per_config(_basis(self.m - 1, self.p).T @ c)
 
 
@@ -223,7 +220,7 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
                          power: int = 1,
                          exact: Optional[bool] = None) -> FourierTable:
     """Coefficients of Z_v^power by exact expectation over the 2^(m-1)
-    configurations of v's star; every coefficient off the star is 0.
+    configurations of v's star; those off the star are 0 and not stored.
 
     Exact-rational arithmetic is the default for m <= 5 (p is converted to a
     Fraction); larger m uses float64.  power >= 2 gives the coefficients of
@@ -253,7 +250,5 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
     k = m - 1
     r = _basis(k, q) @ (config_weights(q, k, _set_sizes(k))
                         * _z_powers(keep, mu_v, power))
-    scaled = np.full(1 << (m * (m - 1) // 2), Fraction(0) if exact else 0.0)
-    scaled[_star_masks(m, v)] = r
     return FourierTable(m, colors, v, q, power, exact, mu_v,
-                        scaled.tolist() if exact else scaled, keep)
+                        r.tolist() if exact else r, keep)

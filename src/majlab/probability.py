@@ -70,6 +70,7 @@ def _check_p(p: float) -> None:
 
 def binom_pmf(n: int, p: float, k: int) -> float:
     """P(Bin(n,p) = k)."""
+    _check_p(p)
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
     return float(_pmf(k, n, p))
@@ -77,6 +78,7 @@ def binom_pmf(n: int, p: float, k: int) -> float:
 
 def binom_cdf(n: int, p: float, k: float) -> float:
     """P(Bin(n,p) <= k)."""
+    _check_p(p)
     return float(_cdf(k, n, p))
 
 

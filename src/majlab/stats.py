@@ -75,6 +75,8 @@ def delta_threshold(n: int, p: float,
     """max{ exp(A*sqrt(log(1/p)))/sqrt(p), B * p^(-3/2) * n^(-1/2) }."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     exp_branch = math.exp(params.a * math.sqrt(math.log(1.0 / p))) / math.sqrt(p)
     poly_branch = params.b * p**-1.5 / math.sqrt(n)
     return DeltaThreshold(max(exp_branch, poly_branch), exp_branch, poly_branch)
@@ -160,8 +162,15 @@ def centered_indicators(g: ColoredGraph, p) -> CenteredIndicators:
                               z, kept)
 
 
+def _check_order(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"moment order k must be at least 0, got {k}")
+
+
 def double_factorial(m: int) -> int:
     """m!! for m >= -1 (with (-1)!! = 1)."""
+    if m < -1:
+        raise ValueError(f"double factorial needs m >= -1, got {m}")
     out = 1
     while m > 1:
         out *= m
@@ -188,6 +197,7 @@ def moment_estimate(n: int, p: float, delta, k: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_order(k)
     if k == 0:
         return MomentEstimate(0, 1.0, 0.0, trials, 1.0, 1.0, False)
     scheme = FixedGap.from_delta(delta)
@@ -352,6 +362,7 @@ def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
     p = float(p)
     if trials < 100:
         raise ValueError("trials must be at least 100")
+    _check_order(k)
     scheme = FixedGap.from_delta(delta)
     c1, c2 = scheme.class_sizes(n)
     if c1 < 2 or c2 < 1:

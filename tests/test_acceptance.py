@@ -120,7 +120,7 @@ def test_criterion_2_fourier_suite():
                 if table.coefficient_scaled(0) != 0:
                     bad.append((m, colors, v, "empty-set"))
                 for mask in range(1 << table.n_edges):
-                    if mask & ~star and table.scaled[mask] != 0:
+                    if mask & ~star and table.coefficient_scaled(mask) != 0:
                         bad.append((m, colors, v, "outside-star", mask))
                 if table.parseval_sum() != 1 - table.mu_v**2:
                     bad.append((m, colors, v, "parseval"))
@@ -129,7 +129,8 @@ def test_criterion_2_fourier_suite():
                 for level in (1, 2, 3):
                     tl = fourier_coefficients(m, colors, v, p, power=level)
                     for mask in range(1, 1 << table.n_edges):
-                        if abs(tl.scaled[mask]) > 2**level * abs(table.scaled[mask]):
+                        if (abs(tl.coefficient_scaled(mask))
+                                > 2**level * abs(table.coefficient_scaled(mask))):
                             bad.append((m, colors, v, "power", level, mask))
                 checked += 1
     _conclude("2 exact Fourier suite (n<=5)", not bad,

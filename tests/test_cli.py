@@ -252,6 +252,12 @@ def test_report_lemmas(tmp_path, capsys):
     code = run_cli(["report", "lemmas", "--n", "60", "--p", "0.2",
                     "--delta", "0", "--trials", "100", "--seed", "9"])
     assert code == 0
+    capsys.readouterr()
+    code = run_cli(["report", "lemmas", "--n", "60", "--p", "0.2",
+                    "--delta", "2", "--trials", "100", "--k", "-2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "moment order" in captured.err
 
 
 def test_invalid_arguments_exit_2():

@@ -41,7 +41,25 @@ def test_coefficients_supported_on_star():
                 star = star_mask(m, v)
                 for mask in range(1 << t.n_edges):
                     if mask & ~star:
-                        assert t.scaled[mask] == 0
+                        assert t.coefficient_scaled(mask) == 0
+
+
+def test_table_stores_only_the_star():
+    # 2^(m-1) entries, bit j for the edge from v to its j-th other vertex
+    t = fourier_coefficients(7, (1, 1, 1, 1, 2, 2, 2), 2, 0.3)
+    assert not t.exact and len(t.scaled) == 64
+    assert t.scaled[0b000100] == t.coefficient_scaled([(2, 3)])
+    assert t.scaled[0b100011] == t.coefficient_scaled([(0, 2), (1, 2),
+                                                         (2, 6)])
+    off = t.coefficient_scaled([(2, 4), (3, 4)])
+    assert type(off) is float and off == 0.0
+    e = fourier_coefficients(4, (1, 1, 2, 2), 3, Fraction(1, 4))
+    assert e.exact and len(e.scaled) == 8
+    assert e.scaled[0b110] == e.coefficient_scaled([(1, 3), (2, 3)])
+    off = e.coefficient_scaled([(0, 1)])
+    assert type(off) is Fraction and off == 0
+    for lookup in (e.coefficient, e.coefficient_sq):
+        assert lookup([(0, 1)]) == 0
 
 
 def _brute_force_cases():
@@ -58,12 +76,13 @@ def _brute_force_cases():
 
 
 def test_every_coefficient_matches_brute_force_over_the_whole_cube():
-    # the table is built over v's star and writes 0 off it; the brute force
+    # the table stores v's star and answers 0 off it; the brute force
     # sums over every configuration for every subset, star or not
     for m, colors, v, power, p in _brute_force_cases():
         scaled, values = brute_fourier(m, colors, v, p, power)
         t = fourier_coefficients(m, colors, v, p, power=power)
-        assert t.scaled == scaled, (m, colors, v, power, p)
+        assert [t.coefficient_scaled(s) for s in range(1 << t.n_edges)] \
+            == scaled, (m, colors, v, power, p)
         assert t.function_values() == values, (m, colors, v, power, p)
 
 
@@ -123,7 +142,8 @@ def test_power_coefficients_bounded():
                     tl = fourier_coefficients(m, colors, v, Fraction(1, 4),
                                               power=L)
                     for mask in range(1, 1 << base.n_edges):
-                        assert abs(tl.scaled[mask]) <= 2**L * abs(base.scaled[mask])
+                        assert (abs(tl.coefficient_scaled(mask))
+                                <= 2**L * abs(base.coefficient_scaled(mask)))
 
 
 def test_basis_orthonormality():
@@ -156,8 +176,8 @@ def test_float_path_matches_exact():
     exact = fourier_coefficients(m, colors, v, Fraction(1, 4))
     fl = fourier_coefficients(m, colors, v, 0.25, exact=False)
     for mask in range(1 << exact.n_edges):
-        assert float(exact.scaled[mask]) == pytest.approx(
-            float(fl.scaled[mask]), abs=1e-12)
+        assert float(exact.coefficient_scaled(mask)) == pytest.approx(
+            float(fl.coefficient_scaled(mask)), abs=1e-12)
     assert fl.parseval_sum() == pytest.approx(float(1 - exact.mu_v**2),
                                               abs=1e-9)
 

@@ -13,9 +13,9 @@ trip exactly the checks listed beside it:
   scalar reference that shares no kernel with the cube;
 * "simulator": at n = 4 `dynamics.run` on a `ColoredGraph.from_edges`, for
   every configuration, coloring and rule, disagrees with `mask_trajectory`;
-* "fourier": a few m <= 4 Fourier tables, every subset mask of `scaled`
-  and every configuration's function value, disagree with the brute force
-  over the whole edge cube (`conftest.brute_fourier`).
+* "fourier": a few m <= 4 Fourier tables, `coefficient_scaled` of every
+  subset mask and every configuration's function value, disagree with the
+  brute force over the whole edge cube (`conftest.brute_fourier`).
 
 A method is patched on its class.
 """
@@ -232,7 +232,9 @@ def _tripped_checks(monkeypatch):
     p = Fraction(1, 4)
     for m, colors, v, power in _FOURIER_TABLES:
         table = fourier_coefficients(m, colors, v, p, power=power)
-        if [table.scaled, table.function_values()] != list(
+        scaled = [table.coefficient_scaled(s)
+                  for s in range(1 << table.n_edges)]
+        if [scaled, table.function_values()] != list(
                 _brute_fourier(m, colors, v, p, power)):
             tripped.add("fourier")
     return tripped

@@ -110,8 +110,8 @@ def test_moment_z_matches_fourier_cross_sum():
             inner = Fraction(0)
             for mask in range(1 << tables[0].n_edges):
                 size = bin(mask).count("1")
-                inner += (tables[u].scaled[mask] * tables[v].scaled[mask]
-                          / norm**size)
+                inner += (tables[u].coefficient_scaled(mask)
+                          * tables[v].coefficient_scaled(mask) / norm**size)
             total += sign * inner
     q = OracleQuery(n, p, colors, MomentZ(k=2))
     assert oracle_eval(q).value == total

@@ -193,6 +193,8 @@ def test_binom_matches_scipy_stats_bitwise():
             for k in (ks, frac):
                 assert (_bits(probability._cdf(k, n, p))
                         == _bits(binom.cdf(k, n, p))).all(), (n, p)
+            if p not in _PS:  # the scalar API rejects these
+                continue
             got = [binom_pmf(n, p, int(k)) for k in pick_in]
             assert (_bits(got) == _bits(binom.pmf(pick_in, n, p))).all()
             for k in (pick, pick + 0.5):
@@ -203,7 +205,18 @@ def test_binom_matches_scipy_stats_bitwise():
                 binom_pmf(n, 0.5, k)
     # Boost's pmf exceeds 1 here by 3e-14; scipy.stats clips, and so do we
     assert binom_pmf(1, 1e-300, 0) == 1.0
-    assert math.isnan(binom_cdf(5, 1.5, 9)) and math.isnan(binom_cdf(5, -1, -2))
+
+
+@pytest.mark.parametrize("p", _BAD_PS + (-1, math.inf))
+def test_binom_rejects_p_outside_unit_interval(p):
+    # as BinDiffDist, bindiff_pmf and bindiff_cdf do, rather than answer NaN
+    for k in (-2, 0, 2, 9):
+        with pytest.raises(ValueError, match="p must lie in"):
+            binom_cdf(5, p, k)
+    with pytest.raises(ValueError, match="p must lie in"):
+        binom_pmf(5, p, 2)
+    with pytest.raises(ValueError, match="p must lie in"):
+        bindiff_cdf(5, 5, p, 0)
 
 
 def test_bindiff_matches_scipy_stats_bitwise(monkeypatch):

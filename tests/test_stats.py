@@ -47,6 +47,9 @@ def test_delta_threshold_validation():
         delta_threshold(100, 0.0)
     with pytest.raises(ValueError):
         delta_threshold(100, 1.0)
+    for n in (0, -3):  # not a ZeroDivisionError or a complex sqrt
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            delta_threshold(n, 0.5)
     with pytest.raises(ValueError):
         ThresholdParams(a=0.0)
 
@@ -141,6 +144,19 @@ def test_z_mean_centered_monte_carlo():
 def test_double_factorial():
     assert [double_factorial(k) for k in (-1, 0, 1, 2, 3, 5, 7)] == \
         [1, 1, 1, 2, 3, 15, 105]
+    for m in (-2, -3, -10):
+        with pytest.raises(ValueError, match="m >= -1"):
+            double_factorial(m)
+
+
+@pytest.mark.parametrize("k", [-1, -2, -5])
+def test_negative_moment_order_rejected(k):
+    # MomentZ rejects k < 0 too; the reference scale (k-1)!! has no meaning
+    with pytest.raises(ValueError, match="moment order"):
+        moment_estimate(50, 0.2, 0, k, 10)
+    for n in (6, 60):  # exact and Monte Carlo modes
+        with pytest.raises(ValueError, match="moment order"):
+            lemma_report(n, 0.2, 2, 100, k=k)
 
 
 def test_moment_estimate_k0_and_odd():

@@ -20,6 +20,7 @@ and hand their values out as lists.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -82,10 +83,11 @@ def _move_bits(masks: np.ndarray, src, dst) -> np.ndarray:
     return sum(((masks >> s) & 1) << d for s, d in zip(src, dst))
 
 
-def _star(m: int, v: int) -> list[int]:
+@functools.cache
+def _star(m: int, v: int) -> tuple[int, ...]:
     """Bit index of each edge at v in canonical edge order, so that star
     edge j joins v to the j-th other vertex."""
-    return [k for k, e in enumerate(edge_list(m)) if v in e]
+    return tuple(k for k, e in enumerate(edge_list(m)) if v in e)
 
 
 def _keep_flags(m: int, colors: Sequence[int], v: int) -> np.ndarray:
@@ -116,7 +118,7 @@ def _basis(n_bits: int, p) -> np.ndarray:
 
 @dataclass
 class FourierTable:
-    """Coefficients of Z_v^power over the edge cube of an m-vertex set."""
+    """All coefficients of Z_v^power over the edge cube of an m-vertex set."""
 
     m: int
     colors: tuple[int, ...]

@@ -162,11 +162,6 @@ def centered_indicators(g: ColoredGraph, p) -> CenteredIndicators:
                               z, kept)
 
 
-def _check_order(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"moment order k must be at least 0, got {k}")
-
-
 def double_factorial(m: int) -> int:
     """m!! for m >= -1 (with (-1)!! = 1)."""
     if m < -1:
@@ -197,7 +192,8 @@ def moment_estimate(n: int, p: float, delta, k: int, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _check_order(k)
+    if k < 0:
+        raise ValueError(f"moment order k must be at least 0, got {k}")
     if k == 0:
         return MomentEstimate(0, 1.0, 0.0, trials, 1.0, 1.0, False)
     scheme = FixedGap.from_delta(delta)
@@ -362,7 +358,8 @@ def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
     p = float(p)
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    _check_order(k)
+    if k < 0:
+        raise ValueError(f"moment order k must be at least 0, got {k}")
     scheme = FixedGap.from_delta(delta)
     c1, c2 = scheme.class_sizes(n)
     if c1 < 2 or c2 < 1:

@@ -1,26 +1,27 @@
 """Fourier analysis of the centered day-1 indicators over the edge cube.
 
-The sample space is {-1,1}^E for the C(m,2) potential edges of an m-vertex
-set, with each edge present (+1) independently with probability p.  The
-orthonormal basis is
+Over {-1,1}^E for the C(m,2) potential edges of an m-vertex set, each edge
+present (+1) independently with probability p, the orthonormal basis is
 
     Phi_S(x) = prod_{e in S} (x_e + 1 - 2p) / (2 sqrt(p(1-p))),
 
-and coefficients of a function f are f_hat(S) = E[f Phi_S].  Because the
-normalizer is irrational, each coefficient is kept internally as the exact
-rational r_S = E[f * prod_{e in S}(x_e + 1 - 2p)] together with |S|, so that
-squares, ratios, and reconstructions stay exact when p is rational.
+and coefficients f_hat(S) = E[f Phi_S] are kept as the exact rationals
+r_S = E[f * prod_{e in S}(x_e + 1 - 2p)] together with |S|.
 
-Z_v reads only v's m - 1 star edges, so coefficients off the star are 0 and
-a table stores the 2^(m-1) subsets of the star alone: with the star basis
-matrix Phi[S, x] = prod_{e in S}(x_e + 1 - 2p), r = Phi @ (w Z^power) and the
-reconstruction is Phi^T @ (r / (4p(1-p))^|S|).  Exact tables hold Fractions
-and hand their values out as lists.
+Z_v reads only the counts (k1, k2) of v's present star edges to color-1 and
+color-2 vertices, so r_S is 0 off the star and depends only on S's class
+counts (a, b): a table holds the (c1'+1)(c2'+1) values r(a, b), c1' and c2'
+being v's other vertices of each color.  With a class's sums H and G
+(`_class_sums`), w[k] = p^k (1-p)^(c-k) and Z[k1, k2] = Z_v^power,
+
+    r = (H1 w1) @ Z @ (H2 w2)^T   and   Z = G1^T @ (r / (4p(1-p))^(a+b)) @ G2,
+
+computed in Fractions at Fraction(p).  An exact table hands out Fractions
+(arrays as lists), a float table each value rounded once to float64.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -31,12 +32,12 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .dynamics import UpdateRule, takes_color1
-from .stats import compute_mu
+from .probability import binom_pmf_exact
+from .stats import compute_mu, is_exact
 
 __all__ = ["FourierTable", "fourier_coefficients", "edge_list", "config_weights"]
 
 _MAX_VERTICES = 7
-_EXACT_DEFAULT_LIMIT = 5
 
 
 def edge_list(m: int) -> list[tuple[int, int]]:
@@ -73,47 +74,40 @@ def _masses(hist: np.ndarray, p) -> list[Fraction]:
             for col in hist.T.tolist()]
 
 
-def _set_sizes(n_bits: int) -> np.ndarray:
-    """|S| of every subset mask S below 2^n_bits, as uint8."""
-    return np.bitwise_count(np.arange(1 << n_bits, dtype=np.uint64))
+def _hand_out(values, exact: bool):
+    """Exact values as handed out: as is (arrays as lists), or rounded once."""
+    if isinstance(values, np.ndarray):
+        return values.tolist() if exact else values.astype(np.float64)
+    return values if exact else float(values)
 
 
-def _move_bits(masks: np.ndarray, src, dst) -> np.ndarray:
-    """Bit src[j] of each mask moved to bit dst[j]; every other bit dropped."""
-    return sum(((masks >> s) & 1) << d for s, d in zip(src, dst))
+def _class_stars(m: int, colors: Sequence[int], v: int) -> tuple[int, int]:
+    """Subset masks of v's star edges to color-1 and to color-2 vertices."""
+    star = [(k, i + j - v) for k, (i, j) in enumerate(edge_list(m)) if v in (i, j)]
+    return tuple(sum(1 << k for k, u in star if colors[u] == c) for c in (1, 2))
 
 
-@functools.cache
-def _star(m: int, v: int) -> tuple[int, ...]:
-    """Bit index of each edge at v in canonical edge order, so that star
-    edge j joins v to the j-th other vertex."""
-    return tuple(k for k, e in enumerate(edge_list(m)) if v in e)
+def _class_sums(c: int, p: Fraction, per_subset: bool) -> np.ndarray:
+    """Sums of prod_{e in S}(x_e + 1 - 2p), 2 - 2p per present and -2p per
+    absent edge of S, in one class of c star edges: [a, k] for |S| = a and k
+    edges present sums over the configurations for one S (H, per_subset) or
+    over the subsets S for one configuration (G); i of S's edges present."""
+    out = np.empty((c + 1, c + 1), dtype=object)
+    for a, k in itertools.product(range(c + 1), repeat=2):
+        x, y = (a, k) if per_subset else (k, a)
+        out[a, k] = sum(math.comb(x, i) * math.comb(c - x, y - i)
+                        * (2 - 2 * p) ** i * (-2 * p) ** (a - i)
+                        for i in range(min(a, k) + 1))
+    return out
 
 
-def _keep_flags(m: int, colors: Sequence[int], v: int) -> np.ndarray:
-    """For every configuration of v's star, does v keep its color on biased
-    day 1.  Star edge j joins v to the j-th other vertex and adds that
-    vertex's color sign to v's margin when present."""
-    signs = np.array([1 if colors[u] == 1 else -1 for u in range(m) if u != v])
-    present = np.arange(1 << (m - 1))[:, None] >> np.arange(m - 1) & 1
-    was1 = colors[v] == 1
-    return takes_color1(present @ signs, was1, UpdateRule.BIASED) == was1
-
-
-def _z_powers(keep: np.ndarray, mu_v, power: int) -> np.ndarray:
-    """Z_v^power per configuration from v's keep flags; exact for a Fraction mu_v."""
-    signs = np.where(keep, np.int8(1), np.int8(-1))
-    if isinstance(mu_v, Fraction):
-        signs = signs.astype(object)
-    return (signs - mu_v) ** power
-
-
-def _basis(n_bits: int, p) -> np.ndarray:
-    """Phi[S, x] = prod_{e in S}(x_e + 1 - 2p) over the subsets S and the
-    configurations x of n_bits edges: 2 - 2p where x has e, -2p where not."""
-    s, x = np.ogrid[:1 << n_bits, :1 << n_bits]
-    return (_powers(2 - 2 * p, np.bitwise_count(s & x))
-            * _powers(-2 * p, np.bitwise_count(s & ~x)))
+def _z_grid(c1: int, c2: int, was1: bool, mu_v: Fraction, power: int) -> np.ndarray:
+    """Z_v^power when k1 of v's c1 star edges to color-1 vertices and k2 of
+    its c2 to color-2 vertices are present, as an object array [k1, k2]:
+    1 - mu_v where v keeps its color on biased day 1, -1 - mu_v where not."""
+    margin = np.subtract.outer(np.arange(c1 + 1), np.arange(c2 + 1))
+    keep = takes_color1(margin, was1, UpdateRule.BIASED) == was1
+    return (np.where(keep, 1, -1).astype(object) - mu_v) ** power
 
 
 @dataclass
@@ -127,9 +121,11 @@ class FourierTable:
     power: int
     exact: bool
     mu_v: Union[float, Fraction]
-    scaled: Union[list, np.ndarray]  # by star subset, bit j = star edge j
-    # per configuration of v's star: does v keep its color on biased day 1
-    keep: np.ndarray = field(repr=False, compare=False)
+    scaled: Union[list, np.ndarray]  # r(a, b) flat in (a, b) row-major order
+    # masks of v's star edges to each color; exact r(a, b); Z_v^power by (k1, k2)
+    stars: tuple[int, int] = field(repr=False)
+    r: np.ndarray = field(repr=False, compare=False)
+    z: np.ndarray = field(repr=False, compare=False)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -155,18 +151,26 @@ class FourierTable:
             mask |= 1 << index[e]
         return mask
 
+    @property
+    def classes(self) -> tuple[int, int]:
+        """c1', c2': the numbers of v's star edges to each color class."""
+        return self.stars[0].bit_count(), self.stars[1].bit_count()
+
     def _norms_sq(self) -> np.ndarray:
-        """(4p(1-p))^|S| per subset S of v's star: the squared norm of
-        prod_{e in S}(x_e + 1 - 2p)."""
-        return _powers(4 * self.p * (1 - self.p), _set_sizes(self.m - 1))
+        """(4p(1-p))^(a+b) per class, the squared norm of prod_{e in S}(x_e+1-2p)."""
+        p = Fraction(self.p)
+        return _powers(4 * p * (1 - p), np.add.outer(*map(np.arange, self.r.shape)))
+
+    def _r(self, mask: int) -> Fraction:
+        """Exact r_S of a subset mask: r(a, b) of its class, 0 off v's star."""
+        if mask & ~(self.stars[0] | self.stars[1]):
+            return Fraction(0)
+        return self.r[tuple((mask & star).bit_count() for star in self.stars)]
 
     def coefficient_scaled(self, s) -> Union[float, Fraction]:
         """r_S = coefficient * (2 sqrt(p(1-p)))^|S| for a subset mask or edge
         list S; exact when p is rational, and 0 when S leaves v's star."""
-        mask, star = self._mask_of(s), _star(self.m, self.v)
-        if mask & ~sum(1 << k for k in star):
-            return Fraction(0) if self.exact else 0.0
-        return self.scaled[_move_bits(mask, star, range(self.m - 1))]
+        return _hand_out(self._r(self._mask_of(s)), self.exact)
 
     def coefficient(self, s) -> float:
         mask = self._mask_of(s)
@@ -175,10 +179,9 @@ class FourierTable:
 
     def coefficient_sq(self, s) -> Union[float, Fraction]:
         """Squared coefficient; exact rational in exact mode."""
-        mask = self._mask_of(s)
-        r = self.coefficient_scaled(mask)
-        r = r if self.exact else float(r)
-        return r**2 / (4 * self.p * (1 - self.p)) ** mask.bit_count()
+        mask, p = self._mask_of(s), Fraction(self.p)
+        r = self._r(mask)  # 0 off v's star, where the power below is work for nothing
+        return _hand_out(r and r**2 / (4 * p * (1 - p)) ** mask.bit_count(), self.exact)
 
     @property
     def coefficients(self) -> dict[frozenset, float]:
@@ -191,43 +194,40 @@ class FourierTable:
 
     def parseval_sum(self) -> Union[float, Fraction]:
         """sum_S coefficient(S)^2, which must equal E[(Z_v^power)^2]."""
-        total = np.sum(np.asarray(self.scaled) ** 2 / self._norms_sq())
-        return total if self.exact else float(total)
+        subsets = np.outer(*([math.comb(c, a) for a in range(c + 1)]
+                             for c in self.classes))  # per class (a, b)
+        return _hand_out(np.sum(subsets * self.r**2 / self._norms_sq()), self.exact)
 
-    def _per_config(self, star_values: np.ndarray) -> Union[list, np.ndarray]:
-        """Values over v's star configurations spread to every configuration:
-        lists of Fractions from exact tables, arrays from float tables."""
+    def _per_config(self, grid: np.ndarray) -> Union[list, np.ndarray]:
+        """Values by present class counts (k1, k2) spread to every configuration."""
         configs = np.arange(1 << self.n_edges)
-        a = star_values[_move_bits(configs, _star(self.m, self.v), range(self.m - 1))]
-        return a.tolist() if self.exact else a
+        index = tuple(np.bitwise_count(configs & star) for star in self.stars)
+        return grid[index].tolist() if self.exact else grid.astype(np.float64)[index]
 
     def second_moment(self) -> Union[float, Fraction]:
         """E[(Z_v^power)^2] straight from the definition (Parseval's mate)."""
-        k = self.m - 1
-        w = config_weights(self.p, k, _set_sizes(k))
-        total = np.sum(w * _z_powers(self.keep, self.mu_v, self.power) ** 2)
-        return total if self.exact else float(total)
+        p = Fraction(self.p)
+        w = np.outer(*([binom_pmf_exact(c, p, k) for k in range(c + 1)]
+                       for c in self.classes))  # P(k1) P(k2)
+        return _hand_out(np.sum(w * self.z**2), self.exact)
 
     def function_values(self) -> Union[list, np.ndarray]:
         """Z_v^power on every configuration, recomputed from the definition."""
-        return self._per_config(_z_powers(self.keep, self.mu_v, self.power))
+        return self._per_config(self.z)
 
     def reconstruct_all(self) -> Union[list, np.ndarray]:
         """Evaluate sum_S coefficient(S) Phi_S on every configuration at once."""
-        c = np.asarray(self.scaled) / self._norms_sq()
-        return self._per_config(_basis(self.m - 1, self.p).T @ c)
+        p = Fraction(self.p)
+        g1, g2 = (_class_sums(c, p, per_subset=False) for c in self.classes)
+        return self._per_config(g1.T @ (self.r / self._norms_sq()) @ g2)
 
 
-def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
-                         power: int = 1,
+def fourier_coefficients(m: int, colors: Sequence[int], v: int, p, power: int = 1,
                          exact: Optional[bool] = None) -> FourierTable:
-    """Coefficients of Z_v^power by exact expectation over the 2^(m-1)
-    configurations of v's star; those off the star are 0 and not stored.
-
-    Exact-rational arithmetic is the default for m <= 5 (p is converted to a
-    Fraction); larger m uses float64.  power >= 2 gives the coefficients of
-    the corresponding power of the centered indicator.
-    """
+    """Coefficients of Z_v^power (power >= 2: of that power of the centered
+    indicator) by exact expectation over the counts of v's present star
+    edges to each color class.  exact defaults to whether p is rational
+    (`stats.is_exact`); a float table hands out each value rounded once."""
     if not 2 <= m <= _MAX_VERTICES:
         raise ValueError(f"vertex count must be in [2, {_MAX_VERTICES}], got {m}")
     colors = tuple(int(c) for c in colors)
@@ -237,20 +237,18 @@ def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
         raise ValueError(f"vertex {v} out of range")
     if power < 1:
         raise ValueError("power must be at least 1")
-    if exact is None:
-        exact = m <= _EXACT_DEFAULT_LIMIT
-    c1 = sum(1 for c in colors if c == 1)
-    c2 = m - c1
-    if c1 < 1 or c2 < 1:
-        raise ValueError("both colors must appear")
-    q = Fraction(p) if exact else float(p)
-    if not 0 < q < 1:
+    if not 0 < p < 1:  # NaN fails too
         raise ValueError(f"p must lie in (0,1), got {p}")
-    mu1, mu2 = compute_mu(c1, c2, q)
-    mu_v = mu1 if colors[v] == 1 else mu2
-    keep = _keep_flags(m, colors, v)
-    k = m - 1
-    r = _basis(k, q) @ (config_weights(q, k, _set_sizes(k))
-                        * _z_powers(keep, mu_v, power))
-    return FourierTable(m, colors, v, q, power, exact, mu_v,
-                        r.tolist() if exact else r, keep)
+    exact = is_exact(p) if exact is None else exact
+    p = Fraction(p) if exact else float(p)
+    q = Fraction(p)
+    stars = _class_stars(m, colors, v)
+    n1, n2 = (star.bit_count() for star in stars)
+    # compute_mu refuses a coloring without both colors
+    mu_v = compute_mu(colors.count(1), colors.count(2), q)[colors[v] - 1]
+    z = _z_grid(n1, n2, colors[v] == 1, mu_v, power)
+    h1, h2 = (_class_sums(c, q, per_subset=True) * config_weights(q, c, range(c + 1))
+              for c in (n1, n2))
+    r = h1 @ z @ h2.T
+    return FourierTable(m, colors, v, p, power, exact, _hand_out(mu_v, exact),
+                        _hand_out(r.ravel(), exact), stars, r, z)

@@ -77,8 +77,10 @@ def binom_pmf(n: int, p: float, k: int) -> float:
 
 
 def binom_cdf(n: int, p: float, k: float) -> float:
-    """P(Bin(n,p) <= k)."""
+    """P(Bin(n,p) <= k); k = -inf or inf gives 0 or 1."""
     _check_p(p)
+    if math.isnan(k):
+        raise ValueError(f"k={k} is not a number")
     return float(_cdf(k, n, p))
 
 

@@ -194,12 +194,12 @@ def moment_estimate(n: int, p: float, delta, k: int, trials: int,
         raise ValueError("trials must be at least 1")
     if k < 0:
         raise ValueError(f"moment order k must be at least 0, got {k}")
-    if k == 0:
-        return MomentEstimate(0, 1.0, 0.0, trials, 1.0, 1.0, False)
     scheme = FixedGap.from_delta(delta)
     c1, c2 = scheme.class_sizes(n)
     _check_sizes(c1, c2)
     mu1, mu2 = compute_mu(c1, c2, p)
+    if k == 0:
+        return MomentEstimate(0, 1.0, 0.0, trials, 1.0, 1.0, False)
     samples = np.empty(trials)
     for t in range(trials):
         g = sample_gnp(GraphParams(n, p, split_seed(master_seed, t)), scheme)

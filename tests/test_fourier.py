@@ -8,6 +8,7 @@ from majlab import fourier
 from majlab.fourier import _masses, config_weights, edge_list, fourier_coefficients
 
 from conftest import brute_fourier
+from reference import star_fourier, star_subset
 
 COLORINGS = {
     2: [(1, 2)],
@@ -45,21 +46,66 @@ def test_coefficients_supported_on_star():
 
 
 def test_table_stores_only_the_star():
-    # 2^(m-1) entries, bit j for the edge from v to its j-th other vertex
+    # one value r(a, b) per class of star subsets, flat in (a, b) row-major
+    # order: a edges to v's c1' = 3 other color-1 vertices and b edges to its
+    # c2' = 3 color-2 vertices
     t = fourier_coefficients(7, (1, 1, 1, 1, 2, 2, 2), 2, 0.3)
-    assert not t.exact and len(t.scaled) == 64
-    assert t.scaled[0b000100] == t.coefficient_scaled([(2, 3)])
-    assert t.scaled[0b100011] == t.coefficient_scaled([(0, 2), (1, 2),
-                                                         (2, 6)])
+    assert not t.exact and len(t.scaled) == 16
+    assert t.scaled[0 * 4 + 0] == t.coefficient_scaled(0) == 0
+    assert t.scaled[1 * 4 + 0] == t.coefficient_scaled([(2, 3)])
+    assert t.scaled[2 * 4 + 1] == t.coefficient_scaled([(0, 2), (1, 2), (2, 6)])
+    assert t.scaled[2 * 4 + 1] == t.coefficient_scaled([(0, 2), (2, 3), (2, 4)])
+    assert t.scaled[3 * 4 + 3] == t.coefficient_scaled(
+        [(0, 2), (1, 2), (2, 3), (2, 4), (2, 5), (2, 6)])
     off = t.coefficient_scaled([(2, 4), (3, 4)])
     assert type(off) is float and off == 0.0
     e = fourier_coefficients(4, (1, 1, 2, 2), 3, Fraction(1, 4))
-    assert e.exact and len(e.scaled) == 8
-    assert e.scaled[0b110] == e.coefficient_scaled([(1, 3), (2, 3)])
+    assert e.exact and len(e.scaled) == 3 * 2  # c1' = 2, c2' = 1
+    assert e.scaled[1 * 2 + 1] == e.coefficient_scaled([(1, 3), (2, 3)])
     off = e.coefficient_scaled([(0, 1)])
     assert type(off) is Fraction and off == 0
     for lookup in (e.coefficient, e.coefficient_sq):
         assert lookup([(0, 1)]) == 0
+
+
+# one unbalanced coloring per m, the colors interleaved so that each class's
+# star edges are not a run of edge indices
+@pytest.mark.parametrize("m, colors", [(5, (1, 2, 2, 1, 2)),
+                                       (6, (2, 1, 1, 2, 1, 1)),
+                                       (7, (1, 2, 1, 1, 2, 1, 1))])
+def test_class_tables_equal_the_star_kernel(m, colors):
+    p = Fraction(1, 4)
+    for v, power in itertools.product((0, m - 1), (1, 2, 3)):
+        scaled, values = star_fourier(m, colors, v, p, power)
+        t = fourier_coefficients(m, colors, v, p, power=power)
+        masks = [star_subset(m, v, s) for s in range(1 << (m - 1))]
+        assert [t.coefficient_scaled(s) for s in masks] == scaled, (v, power)
+        got = t.function_values()
+        assert [got[x] for x in masks] == values, (v, power)
+
+
+@pytest.mark.parametrize("m, colors, v, power, p",
+                         [(6, (1, 1, 2, 1, 2, 2), 0, 1, 0.3),
+                          (6, (2, 1, 2, 2, 2, 2), 5, 2, 0.1),
+                          (7, (1, 1, 1, 1, 2, 2, 2), 2, 1, 0.3),
+                          (7, (2, 1, 1, 2, 1, 2, 1), 6, 3, 0.25)])
+def test_float_tables_are_the_exact_table_rounded_once(m, colors, v, power, p):
+    # every lookup of a float table is float() of the exact table at the
+    # binary value of p: at m = 6 every subset mask, at m = 7 every star
+    # subset (the other masks all read the typed 0, pinned above)
+    fl = fourier_coefficients(m, colors, v, p, power=power)
+    ex = fourier_coefficients(m, colors, v, Fraction(p), power=power)
+    assert not fl.exact and ex.exact and fl.p == p and ex.p == Fraction(p)
+    masks = (range(1 << fl.n_edges) if m == 6
+             else [star_subset(m, v, s) for s in range(1 << (m - 1))])
+    for lookup in ("coefficient_scaled", "coefficient_sq"):
+        want = [float(getattr(ex, lookup)(s)) for s in masks]
+        assert [getattr(fl, lookup)(s) for s in masks] == want, lookup
+    assert [fl.coefficient(s) for s in masks] == [ex.coefficient(s) for s in masks]
+    assert fl.scaled.tolist() == [float(r) for r in ex.scaled]
+    assert fl.mu_v == float(ex.mu_v)
+    assert fl.parseval_sum() == float(ex.parseval_sum())
+    assert fl.second_moment() == float(ex.second_moment())
 
 
 def _brute_force_cases():
@@ -103,7 +149,7 @@ def test_function_values_reuse_the_tables_keep_flags(monkeypatch):
     def rebuilt(*args):
         raise AssertionError("keep flags rebuilt after the table was made")
 
-    monkeypatch.setattr(fourier, "_keep_flags", rebuilt)
+    monkeypatch.setattr(fourier, "_z_grid", rebuilt)
     assert t.function_values() == values and t.second_moment() == second
 
 

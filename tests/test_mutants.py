@@ -31,7 +31,7 @@ import pytest
 from majlab import oracle
 from majlab.dynamics import (CapReached, TwoCycle, Unanimity, UpdateRule,
                              keep_margin, margins, run, takes_color1)
-from majlab.fourier import (_basis, _masses, _star, edge_list,
+from majlab.fourier import (_class_stars, _class_sums, _masses, edge_list,
                             fourier_coefficients)
 from majlab.graphs import ColoredGraph, unpack_row
 from majlab.oracle import (_Cube, _cube, exhaustive_identity_scan,
@@ -131,13 +131,20 @@ def _margins_with_own_vote(g, color1_words):
     return margins(g, color1_words) + np.where(own, 1, -1)
 
 
-def _star_reversed(m, v):
-    return _star(m, v)[::-1]
+def _star_reversed(m, colors, v):
+    # star edge j read as joining v to the (m-2-j)-th other vertex: the class
+    # sizes hold, but the wrong edges fall in each class
+    others = [u for u in range(m) if u != v]
+    mirrored = list(colors)
+    for u, w in zip(others, reversed(others)):
+        mirrored[u] = colors[w]
+    return _class_stars(m, mirrored, v)
 
 
-def _basis_factors_swapped(n_bits, p):
-    # column x read at its complement: 2 - 2p where x lacks e, -2p where not
-    return _basis(n_bits, p)[:, ::-1]
+def _class_sums_factors_swapped(c, p, per_subset):
+    # k present edges read as c - k: 2 - 2p for an absent edge of S, -2p for
+    # a present one
+    return _class_sums(c, p, per_subset)[:, ::-1]
 
 
 def _s_sets_then(post):
@@ -182,8 +189,8 @@ MUTANTS = {
     "no-s-star": (s_sets_flags, _s_sets_then(_no_s_star),
                   {"partition", "day2", "golden"}),
     "margins-with-own-vote": (margins, _margins_with_own_vote, {"simulator"}),
-    "fourier-star-reversed": (_star, _star_reversed, {"fourier"}),
-    "fourier-basis-factors-swapped": (_basis, _basis_factors_swapped,
+    "fourier-star-reversed": (_class_stars, _star_reversed, {"fourier"}),
+    "fourier-basis-factors-swapped": (_class_sums, _class_sums_factors_swapped,
                                       {"fourier"}),
 }
 

@@ -207,6 +207,14 @@ def test_binom_matches_scipy_stats_bitwise():
     assert binom_pmf(1, 1e-300, 0) == 1.0
 
 
+def test_binom_cdf_rejects_nan_k():
+    # as binom_pmf rejects a k outside [0, n]; an infinite k keeps its answer
+    with pytest.raises(ValueError, match="not a number"):
+        binom_cdf(5, 0.5, math.nan)
+    assert binom_cdf(5, 0.5, math.inf) == 1.0
+    assert binom_cdf(5, 0.5, -math.inf) == 0.0
+
+
 @pytest.mark.parametrize("p", _BAD_PS + (-1, math.inf))
 def test_binom_rejects_p_outside_unit_interval(p):
     # as BinDiffDist, bindiff_pmf and bindiff_cdf do, rather than answer NaN

@@ -159,6 +159,14 @@ def test_negative_moment_order_rejected(k):
             lemma_report(n, 0.2, 2, 100, k=k)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_moment_estimate_validates_before_any_order(k):
+    # k = 0 needs no trials, but its inputs are checked as for k >= 1
+    for args in [(-5, 7.0, -3), (10, 7.0, 2), (10, 0.3, -3), (-5, 0.3, 2)]:
+        with pytest.raises(ValueError):
+            moment_estimate(*args, k, 5)
+
+
 def test_moment_estimate_k0_and_odd():
     est = moment_estimate(10, 0.3, 1, k=0, trials=5)
     assert est.value == 1.0 and est.stderr == 0.0

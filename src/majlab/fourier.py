@@ -180,7 +180,7 @@ class FourierTable:
     def coefficient_sq(self, s) -> Union[float, Fraction]:
         """Squared coefficient; exact rational in exact mode."""
         mask, p = self._mask_of(s), Fraction(self.p)
-        r = self._r(mask)  # 0 off v's star, where the power below is work for nothing
+        r = self._r(mask)  # 0 off v's star: skip the power there
         return _hand_out(r and r**2 / (4 * p * (1 - p)) ** mask.bit_count(), self.exact)
 
     @property
@@ -222,7 +222,8 @@ class FourierTable:
         return self._per_config(g1.T @ (self.r / self._norms_sq()) @ g2)
 
 
-def fourier_coefficients(m: int, colors: Sequence[int], v: int, p, power: int = 1,
+def fourier_coefficients(m: int, colors: Sequence[int], v: int, p,
+                         power: int = 1,
                          exact: Optional[bool] = None) -> FourierTable:
     """Coefficients of Z_v^power (power >= 2: of that power of the centered
     indicator) by exact expectation over the counts of v's present star

@@ -1,10 +1,10 @@
 """Machine verification of the package's stock of binomial/normal inequalities.
 
-Each check computes both sides from exact pmf tables (or exhaustively, for
-the conditional-moment and contraction checks on finite toy spaces) over a
-grid of parameter points.  Points that violate a check's hypotheses are
-recorded as skipped, never as failures.  Slack is rhs - lhs for upper bounds
-and lhs - rhs for lower bounds, so a pass is slack >= -1e-9.
+Each check computes both sides, from a BinDiffDist table, one bindiff_pmf
+value or exhaustively on a finite toy space, at each point of a parameter
+grid.  Points that violate a check's hypotheses are recorded as skipped,
+never as failures.  Slack is rhs - lhs for upper bounds and lhs - rhs for
+lower bounds, so a pass is slack >= -1e-9.
 
 Checks and their hypothesis ranges:
 
@@ -28,7 +28,6 @@ Checks and their hypothesis ranges:
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -37,7 +36,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .probability import BERRY_ESSEEN_C, BinDiffDist, normal_cdf
+from .probability import BERRY_ESSEEN_C, BinDiffDist, bindiff_pmf, normal_cdf
 
 __all__ = [
     "InequalityPoint",
@@ -162,6 +161,8 @@ def default_grid(seed: int = 0) -> dict[str, list[dict]]:
                 event = rng.random(m) < 0.6
                 if not event.any():
                     event[int(rng.integers(0, m))] = True
+                elif event.all():  # P(E) = 1 would test an identity
+                    event[i % m] = False
                 grid[name].append({"probs": probs.tolist(),
                                    "values": values.tolist(),
                                    "event": event.tolist()})
@@ -180,19 +181,13 @@ def _sigma(p: float) -> float:
     return math.sqrt(p * (1.0 - p))
 
 
-@functools.lru_cache(maxsize=1)
-def _dist(n1: int, n2: int, p: float) -> BinDiffDist:
-    """The table of one (n1, n2, p), shared by consecutive grid points."""
-    return BinDiffDist(n1, n2, p)
-
-
 def _check_clt_supremum(params: dict) -> tuple[float, float, bool, str]:
     n_pos, n_neg, p = params["n_pos"], params["n_neg"], params["p"]
     n = n_pos + n_neg
     if n < 1 or not 0.0 < p < 1.0:
         return None, None, False, "needs n >= 1 and p in (0,1)"
     sigma = _sigma(p)
-    dist = _dist(n_pos, n_neg, p)
+    dist = BinDiffDist(n_pos, n_neg, p)
     mu = (n_pos - n_neg) * p
     support = np.arange(-n_neg, n_pos + 1)
     cdf = dist.cdf_table
@@ -210,7 +205,7 @@ def _check_pointmass_upper(params: dict) -> tuple[float, float, bool, str]:
     if not 0.0 < p < 1.0:
         return None, None, False, "needs p in (0,1)"
     sigma = _sigma(p)
-    lhs = _dist(n1, n2, p).pmf(d)
+    lhs = bindiff_pmf(n1, n2, p, d)
     rhs = 2 * BERRY_ESSEEN_C * (1.0 - 2.0 * sigma**2) / (
         sigma * math.sqrt(n1 + n2))
     if p > 0.25:
@@ -227,7 +222,7 @@ def _check_step_bound(params: dict) -> tuple[float, float, bool, str]:
         return None, None, False, "needs m <= n"
     if not _logn_over_n(n) <= p < 1.0:
         return None, None, False, "needs log(n)/n <= p < 1"
-    table = _dist(n, m, p).table
+    table = BinDiffDist(n, m, p).table
     lhs = float(np.max(np.abs(np.diff(table))))
     rhs = 20.0 * BERRY_ESSEEN_C / (n * p * (1.0 - p))
     return lhs, rhs, True, ""
@@ -239,7 +234,7 @@ def _check_equal_point_lower(params: dict) -> tuple[float, float, bool, str]:
         return None, None, False, "needs n >= 20"
     if not _logn_over_n(n) <= p <= 1.0 - 10.0 / n:
         return None, None, False, "needs log(n)/n <= p <= 1 - 10/n"
-    lhs = _dist(n, n, p).pmf(0)
+    lhs = bindiff_pmf(n, n, p, 0)
     rhs = 1.0 / (6.0 * math.sqrt(n * p * (1.0 - p)))
     return lhs, rhs, True, ""
 
@@ -250,7 +245,7 @@ def _check_pointmass_lower(params: dict) -> tuple[float, float, bool, str]:
         return None, None, False, "needs n >= 520"
     if not _logn_over_n(n) <= p < 1.0 - 10.0 / n:
         return None, None, False, "needs log(n)/n <= p < 1 - 10/n"
-    lhs = _dist(n, n, p).pmf(d)
+    lhs = bindiff_pmf(n, n, p, d)
     rhs = (1.0 / (6.0 * math.sqrt(n * p * (1.0 - p)))
            - 20.0 * BERRY_ESSEEN_C * abs(d) / (n * p * (1.0 - p)))
     return lhs, rhs, True, ""

@@ -186,9 +186,9 @@ class FourierTable:
     @property
     def coefficients(self) -> dict[frozenset, float]:
         """Float coefficients keyed by edge subset, for every subset."""
-        out = {}
+        out, edges = {}, self.edges
         for mask in range(1 << self.n_edges):
-            s = frozenset(e for k, e in enumerate(self.edges) if mask >> k & 1)
+            s = frozenset(e for k, e in enumerate(edges) if mask >> k & 1)
             out[s] = self.coefficient(mask)
         return out
 

@@ -4,8 +4,9 @@ The float paths are built on the Boost binomial pmf/cdf ufuncs in
 scipy.special, the ones scipy.stats.binom wraps, called directly so that
 importing this module does not load scipy.stats.  They keep relative error
 near machine precision even for n ~ 1e6.  Full difference tables use direct
-convolution; single values for large n use a window of +-12 standard
-deviations, whose neglected mass is below 1e-25.
+convolution.  Single values sum over a window of X2 whose half-width t solves
+Bernstein's t^2 = 129 (npq + t/3), so each omitted tail carries mass below
+e^-64.5 ~ 1e-28.
 Exact-rational twins of the small cases back the float paths in tests and
 in oracle mode.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -40,7 +41,6 @@ BERRY_ESSEEN_C = 0.56
 
 _SQRT2 = math.sqrt(2.0)
 _FULL_TABLE_LIMIT = 20_000  # max n1 + n2 for direct convolution tables
-_WINDOW_SIGMAS = 12.0
 
 
 def _pmf(k, n: int, p: float):
@@ -133,18 +133,18 @@ class BinDiffDist:
 
 
 def _window(n: int, p: float) -> tuple[int, int]:
+    # Bernstein: each tail of Bin(n,p) beyond mu +- t is below
+    # exp(-t^2 / (2 (npq + t/3))) = e^-64.5, as t^2 = 129 (npq + t/3)
     mu = n * p
-    sd = math.sqrt(max(n * p * (1.0 - p), 1.0))
-    lo = max(0, int(mu - _WINDOW_SIGMAS * sd) - 2)
-    hi = min(n, int(mu + _WINDOW_SIGMAS * sd) + 2)
-    return lo, hi
+    t = (43.0 + math.sqrt(43.0**2 + 516.0 * mu * (1.0 - p))) / 2.0
+    return max(0, math.floor(mu - t)), min(n, math.ceil(mu + t))
 
 
 def bindiff_pmf(n1: int, n2: int, p: float, d: int) -> float:
     """P(Bin(n1,p) - Bin(n2,p) = d); 0 outside the support.
 
-    Sums pmf1(k+d) * pmf2(k) over a +-12-sigma window of X2 (error below
-    the 1e-25 scale of the discarded tails).  p must lie in [0, 1].
+    Sums pmf1(k+d) * pmf2(k) over _window's range of X2, whose two omitted
+    tails carry mass below 1e-28 each.  p must lie in [0, 1].
     """
     _check_p(p)
     if d > n1 or d < -n2:
@@ -162,8 +162,8 @@ def bindiff_pmf(n1: int, n2: int, p: float, d: int) -> float:
 def bindiff_cdf(n1: int, n2: int, p: float, d: int) -> float:
     """P(Bin(n1,p) - Bin(n2,p) <= d), via sum_k pmf2(k) * cdf1(k + d).
 
-    k runs over a +-12-sigma window of X2; the two omitted X2 tails carry
-    mass below 1e-25 each.  p must lie in [0, 1].
+    k runs over _window's range of X2; the two omitted X2 tails carry mass
+    below 1e-28 each.  p must lie in [0, 1].
     """
     _check_p(p)
     if d >= n1:
@@ -194,15 +194,17 @@ def normal_pdf(x: float) -> float:
 # exact-rational twins (oracle mode; p must be a Fraction)
 
 
-@lru_cache(maxsize=None)
-def _binom_pmf_exact_cached(n: int, p: Fraction, k: int) -> Fraction:
-    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
-
-
 def binom_pmf_exact(n: int, p: Union[Fraction, int], k: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for n={n}")
-    return _binom_pmf_exact_cached(n, Fraction(p), k)
+    p = Fraction(p)
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+def _pmf_numerators(n: int, p: Fraction) -> list[int]:
+    """b^n P(Bin(n,p) = k) = C(n,k) a^k (b-a)^(n-k) for k in [0, n], p = a/b."""
+    a, b = p.numerator, p.denominator
+    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
 
 
 def bindiff_pmf_exact(n1: int, n2: int, p: Union[Fraction, int], d: int) -> Fraction:
@@ -214,9 +216,10 @@ def bindiff_pmf_exact(n1: int, n2: int, p: Union[Fraction, int], d: int) -> Frac
 
 
 def bindiff_geq_exact(n1: int, n2: int, p: Union[Fraction, int], d: int) -> Fraction:
-    """P(Bin(n1,p) - Bin(n2,p) >= d), exact."""
+    """P(Bin(n1,p) - Bin(n2,p) >= d) = sum_k P(X2 = k) P(X1 >= k + d), exact."""
     p = Fraction(p)
-    total = Fraction(0)
-    for t in range(max(d, -n2), n1 + 1):
-        total += bindiff_pmf_exact(n1, n2, p, t)
-    return total
+    # integers over one denominator: tail[j] = b^n1 P(X1 >= j), j in [0, n1 + 1]
+    tail = [*accumulate(reversed(_pmf_numerators(n1, p)))][::-1] + [0]
+    return Fraction(sum(w * tail[min(max(k + d, 0), n1 + 1)]
+                        for k, w in enumerate(_pmf_numerators(n2, p))),
+                    p.denominator ** (n1 + n2))

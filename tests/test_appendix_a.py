@@ -116,3 +116,16 @@ def test_step_bound_tightest_point_has_margin():
     lhs = float(np.max(np.abs(np.diff(table))))
     rhs = 20 * BERRY_ESSEEN_C / (n * p * (1 - p))
     assert lhs < 0.5 * rhs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_conditional_points_never_draw_the_whole_space(seed):
+    # with P(E) = 1 both conditional bounds hold with equality, so such a
+    # point could fail only through rounding; every point must have slack
+    grid = default_grid(seed)
+    lemmas = ("conditional_mean", "conditional_variance")
+    for lemma in lemmas:
+        for params in grid[lemma]:
+            assert any(params["event"]) and not all(params["event"]), params
+    report = verify_appendix_a({k: grid[k] for k in lemmas})
+    assert all(pt.passed and pt.slack > 0 for pt in report.points)

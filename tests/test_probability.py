@@ -18,6 +18,8 @@ from majlab.probability import (BERRY_ESSEEN_C, BinDiffDist, bindiff_cdf,
                                 binom_pmf_exact, normal_cdf,
                                 normal_cdf_centered, normal_pdf)
 
+from majlab.stats import compute_mu, compute_mu_exact
+
 from conftest import brute_bindiff_geq, brute_bindiff_pmf
 
 
@@ -110,6 +112,50 @@ def test_bindiff_large_n_windowed_sanity():
     approx = 1.0 / math.sqrt(4 * math.pi * n * p * (1 - p))
     assert got == pytest.approx(approx, rel=1e-2)
     assert bindiff_cdf(n, n, p, 0) == pytest.approx(0.5 + got / 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("n,p", [(0, 0.3), (1, 0.5), (10, 0.0), (10, 1.0),
+                                 (100, 0.01), (1000, 0.01), (1000, 0.999),
+                                 (5000, 0.5), (20000, 1e-4)])
+def test_window_tails_below_bound(n, p):
+    # each tail of Bin(n,p) outside _window sums below e^-64.5 ~ 1e-28
+    lo, hi = probability._window(n, p)
+    assert 0 <= lo <= hi <= n
+    assert math.fsum(probability._pmf(np.arange(0, lo), n, p)) < 1e-28
+    assert math.fsum(probability._pmf(np.arange(hi + 1, n + 1), n, p)) < 1e-28
+
+
+def test_window_keeps_small_point_masses():
+    # a point mass near 3e-15 that a +-12-sigma window of X2 misses, against
+    # 50-digit arithmetic
+    import mpmath as mp
+    with mp.workdps(50):
+        q = mp.mpf(0.01)
+        pmf = lambda n, k: mp.binomial(n, k) * q**k * (1 - q) ** (n - k)
+        ref = float(mp.fsum(pmf(60, k - 16) * pmf(100, k)
+                            for k in range(16, 101)))
+    assert ref == pytest.approx(3.2628e-15, rel=1e-4, abs=0)
+    got = bindiff_pmf(60, 100, 0.01, -16)
+    assert got == pytest.approx(ref, rel=1e-14, abs=0)
+
+
+def test_float_mu_matches_exact_mu_with_a_large_sparse_class():
+    p = 0.001
+    got = compute_mu(4, 999, p)
+    want = compute_mu_exact(4, 999, Fraction(p))
+    for g, w in zip(got, want):
+        assert abs(g - float(w)) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1, 10)])
+def test_bindiff_geq_exact_is_the_sum_of_point_masses(p):
+    for n1 in (0, 1, 17, 30):
+        for n2 in (0, 1, 17, 30):
+            pmfs = {t: bindiff_pmf_exact(n1, n2, p, t)
+                    for t in range(-n2, n1 + 1)}
+            for d in range(-n2 - 1, n1 + 2):
+                want = sum((v for t, v in pmfs.items() if t >= d), Fraction(0))
+                assert bindiff_geq_exact(n1, n2, p, d) == want, (n1, n2, d)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(-6, 6),

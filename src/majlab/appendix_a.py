@@ -1,10 +1,11 @@
 """Machine verification of the package's stock of binomial/normal inequalities.
 
-Each check computes both sides, from a BinDiffDist table, one bindiff_pmf
-value or exhaustively on a finite toy space, at each point of a parameter
-grid.  Points that violate a check's hypotheses are recorded as skipped,
-never as failures.  Slack is rhs - lhs for upper bounds and lhs - rhs for
-lower bounds, so a pass is slack >= -1e-9.
+Each check computes both sides at each point of a parameter grid: from a
+BinDiffDist table or one bindiff_pmf value (one windowed convolution, which
+drops tails below 1e-28) or exhaustively on a finite toy space.  Points
+that violate a check's hypotheses are recorded as skipped, never as
+failures.  Slack is rhs - lhs for upper bounds and lhs - rhs for lower
+bounds, so a pass is slack >= -1e-9.
 
 Checks and their hypothesis ranges:
 

@@ -3,10 +3,10 @@
 The float paths are built on the Boost binomial pmf/cdf ufuncs in
 scipy.special, the ones scipy.stats.binom wraps, called directly so that
 importing this module does not load scipy.stats.  They keep relative error
-near machine precision even for n ~ 1e6.  Full difference tables use direct
-convolution.  Single values sum over a window of X2 whose half-width t solves
-Bernstein's t^2 = 129 (npq + t/3), so each omitted tail carries mass below
-e^-64.5 ~ 1e-28.
+near machine precision even for n ~ 1e6.  Every float value of X1 - X2,
+table or point, comes from one direct convolution of the two pmfs over
+windows whose half-width t solves Bernstein's t^2 = 129 (npq + t/3), so each
+omitted tail of X1 or X2 carries mass below e^-64.5 ~ 1e-28.
 Exact-rational twins of the small cases back the float paths in tests and
 in oracle mode.
 """
@@ -14,6 +14,7 @@ in oracle mode.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
 from typing import Union
@@ -40,7 +41,6 @@ __all__ = [
 BERRY_ESSEEN_C = 0.56
 
 _SQRT2 = math.sqrt(2.0)
-_FULL_TABLE_LIMIT = 20_000  # max n1 + n2 for direct convolution tables
 
 
 def _pmf(k, n: int, p: float):
@@ -68,6 +68,11 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must lie in [0,1], got {p}")
 
 
+def _check_counts(n1: int, n2: int) -> None:
+    if n1 < 0 or n2 < 0:
+        raise ValueError(f"trial counts must be nonnegative, got {n1}, {n2}")
+
+
 def binom_pmf(n: int, p: float, k: int) -> float:
     """P(Bin(n,p) = k)."""
     _check_p(p)
@@ -85,26 +90,19 @@ def binom_cdf(n: int, p: float, k: float) -> float:
 
 
 class BinDiffDist:
-    """Exact distribution of X1 - X2 for independent Bin(n1,p), Bin(n2,p).
+    """Distribution of X1 - X2 for independent Bin(n1,p), Bin(n2,p).
 
-    The pmf table spans the full support [-n2, n1]; cdf_table is its
-    running sum.
+    The pmf table spans the full support [-n2, n1] and holds _bindiff_window's
+    values, 0 outside the window (each omitted tail is below 1e-28);
+    cdf_table is its running sum.
     """
 
     def __init__(self, n1: int, n2: int, p: float):
-        if n1 < 0 or n2 < 0:
-            raise ValueError("trial counts must be nonnegative")
-        _check_p(p)
-        if n1 + n2 > _FULL_TABLE_LIMIT:
-            raise ValueError(
-                f"full table limited to n1+n2 <= {_FULL_TABLE_LIMIT}; "
-                "use bindiff_pmf/bindiff_cdf for point values"
-            )
+        lo, w = _bindiff_window(n1, n2, p)
         self.n1, self.n2, self.p = n1, n2, p
-        p1 = _pmf(np.arange(n1 + 1), n1, p)
-        p2 = _pmf(np.arange(n2 + 1), n2, p)
         # index m of the table corresponds to d = m - n2
-        self.table = np.convolve(p1, p2[::-1])
+        self.table = np.zeros(n1 + n2 + 1)
+        self.table[lo + n2:lo + n2 + w.shape[0]] = w
         self.cdf_table = np.cumsum(self.table)
 
     @property
@@ -121,9 +119,10 @@ class BinDiffDist:
         m = d + self.n2
         if m < 0:
             return 0.0
-        if m >= self.table.shape[0]:
+        if d >= self.n1:
             return 1.0
-        return float(self.cdf_table[m])
+        # a running sum of rounded pmfs can pass 1 by a few ulps
+        return min(1.0, float(self.cdf_table[m]))
 
     def total_mass(self) -> float:
         return float(self.cdf_table[-1])
@@ -140,40 +139,34 @@ def _window(n: int, p: float) -> tuple[int, int]:
     return max(0, math.floor(mu - t)), min(n, math.ceil(mu + t))
 
 
-def bindiff_pmf(n1: int, n2: int, p: float, d: int) -> float:
-    """P(Bin(n1,p) - Bin(n2,p) = d); 0 outside the support.
+def _bindiff_window(n1: int, n2: int, p: float) -> tuple[int, np.ndarray]:
+    """(lo, w) with w[i] = P(X1 - X2 = lo + i), X1 and X2 in their _windows.
 
-    Sums pmf1(k+d) * pmf2(k) over _window's range of X2, whose two omitted
-    tails carry mass below 1e-28 each.  p must lie in [0, 1].
+    The one float summation of X1 - X2: X1's pmf convolved with X2's pmf
+    reversed, so w starts at d = lo1 - hi2.
     """
+    _check_counts(n1, n2)
     _check_p(p)
-    if d > n1 or d < -n2:
-        return 0.0
-    lo, hi = _window(n2, p)
-    lo = max(lo, -d)
-    hi = min(hi, n1 - d)
-    if hi < lo:
-        return 0.0
-    k = np.arange(lo, hi + 1)
-    terms = _pmf(k + d, n1, p) * _pmf(k, n2, p)
-    return float(math.fsum(terms))
+    lo1, hi1 = _window(n1, p)
+    lo2, hi2 = _window(n2, p)
+    return lo1 - hi2, np.convolve(_pmf(np.arange(lo1, hi1 + 1), n1, p),
+                                  _pmf(np.arange(hi2, lo2 - 1, -1), n2, p))
+
+
+def bindiff_pmf(n1: int, n2: int, p: float, d: int) -> float:
+    """P(Bin(n1,p) - Bin(n2,p) = d): BinDiffDist's value, without its table."""
+    lo, w = _bindiff_window(n1, n2, p)
+    return float(w[d - lo]) if 0 <= d - lo < w.shape[0] else 0.0
 
 
 def bindiff_cdf(n1: int, n2: int, p: float, d: int) -> float:
-    """P(Bin(n1,p) - Bin(n2,p) <= d), via sum_k pmf2(k) * cdf1(k + d).
-
-    k runs over _window's range of X2; the two omitted X2 tails carry mass
-    below 1e-28 each.  p must lie in [0, 1].
-    """
-    _check_p(p)
+    """P(Bin(n1,p) - Bin(n2,p) <= d): BinDiffDist's value, without its table."""
+    lo, w = _bindiff_window(n1, n2, p)
+    if d < lo:
+        return 0.0
     if d >= n1:
         return 1.0
-    if d < -n2:
-        return 0.0
-    lo, hi = _window(n2, p)
-    k = np.arange(lo, hi + 1)
-    terms = _pmf(k, n2, p) * _cdf(k + d, n1, p)
-    return min(1.0, max(0.0, math.fsum(terms)))
+    return min(1.0, float(np.cumsum(w)[min(d - lo, w.shape[0] - 1)]))
 
 
 def normal_cdf(a: float) -> float:
@@ -204,10 +197,14 @@ def binom_pmf_exact(n: int, p: Union[Fraction, int], k: int) -> Fraction:
 def _pmf_numerators(n: int, p: Fraction) -> list[int]:
     """b^n P(Bin(n,p) = k) = C(n,k) a^k (b-a)^(n-k) for k in [0, n], p = a/b."""
     a, b = p.numerator, p.denominator
-    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+    # a^k and (b-a)^k as running products, one multiplication per power
+    a_pow = [*accumulate([a] * n, operator.mul, initial=1)]
+    c_pow = [*accumulate([b - a] * n, operator.mul, initial=1)]
+    return [math.comb(n, k) * a_pow[k] * c_pow[n - k] for k in range(n + 1)]
 
 
 def bindiff_pmf_exact(n1: int, n2: int, p: Union[Fraction, int], d: int) -> Fraction:
+    _check_counts(n1, n2)
     p = Fraction(p)
     total = Fraction(0)
     for k in range(max(0, -d), min(n2, n1 - d) + 1):
@@ -217,6 +214,7 @@ def bindiff_pmf_exact(n1: int, n2: int, p: Union[Fraction, int], d: int) -> Frac
 
 def bindiff_geq_exact(n1: int, n2: int, p: Union[Fraction, int], d: int) -> Fraction:
     """P(Bin(n1,p) - Bin(n2,p) >= d) = sum_k P(X2 = k) P(X1 >= k + d), exact."""
+    _check_counts(n1, n2)
     p = Fraction(p)
     # integers over one denominator: tail[j] = b^n1 P(X1 >= j), j in [0, n1 + 1]
     tail = [*accumulate(reversed(_pmf_numerators(n1, p)))][::-1] + [0]

@@ -15,7 +15,9 @@ trip exactly the checks listed beside it:
   every configuration, coloring and rule, disagrees with `mask_trajectory`;
 * "fourier": a few m <= 4 Fourier tables, `coefficient_scaled` of every
   subset mask and every configuration's function value, disagree with the
-  brute force over the whole edge cube (`conftest.brute_fourier`).
+  brute force over the whole edge cube (`conftest.brute_fourier`);
+* "appendix_a.<lemma_id>": an asserted point of
+  `verify_appendix_a(small_grid(0))` fails that check.
 
 A method is patched on its class.
 """
@@ -29,6 +31,7 @@ import numpy as np
 import pytest
 
 from majlab import oracle
+from majlab.appendix_a import small_grid, verify_appendix_a
 from majlab.dynamics import (CapReached, TwoCycle, Unanimity, UpdateRule,
                              keep_margin, margins, run, takes_color1)
 from majlab.fourier import (_class_stars, _class_sums, _masses, edge_list,
@@ -36,13 +39,15 @@ from majlab.fourier import (_class_stars, _class_sums, _masses, edge_list,
 from majlab.graphs import ColoredGraph, unpack_row
 from majlab.oracle import (_Cube, _cube, exhaustive_identity_scan,
                            mask_trajectory, oracle_eval, rows_from_mask)
-from majlab.probability import bindiff_geq_exact
+from majlab.probability import _bindiff_window, _pmf, _window, bindiff_geq_exact
 from majlab.stats import compute_mu_exact
 from majlab.structure import rhat_flags, s_sets_flags
 
 from conftest import brute_fourier, golden_records
 
 _SCAN_LABELS = ("rhat", "partition", "day2", "centering")
+_BINDIFF_LABELS = {"appendix_a.clt_supremum", "appendix_a.equal_point_lower",
+                   "appendix_a.pointmass_lower"}
 _FOURIER_TABLES = [(3, (1, 1, 2), 1, 2), (4, (1, 1, 2, 2), 0, 1),
                    (4, (1, 1, 1, 2), 3, 3)]  # (m, colors, v, power) at p = 1/4
 
@@ -147,6 +152,19 @@ def _class_sums_factors_swapped(c, p, per_subset):
     return _class_sums(c, p, per_subset)[:, ::-1]
 
 
+def _bindiff_window_with(reverse=True, flip=False):
+    """_bindiff_window, optionally with X2's pmf not reversed or X2 taken as
+    Bin(n2, 1 - p)."""
+    def kernel(n1, n2, p):
+        q = 1 - p if flip else p
+        lo1, hi1 = _window(n1, p)
+        lo2, hi2 = _window(n2, q)
+        k2 = np.arange(hi2, lo2 - 1, -1) if reverse else np.arange(lo2, hi2 + 1)
+        return lo1 - hi2, np.convolve(_pmf(np.arange(lo1, hi1 + 1), n1, p),
+                                      _pmf(k2, n2, q))
+    return kernel
+
+
 def _s_sets_then(post):
     return lambda *args: post(*s_sets_flags(*args))
 
@@ -192,6 +210,12 @@ MUTANTS = {
     "fourier-star-reversed": (_class_stars, _star_reversed, {"fourier"}),
     "fourier-basis-factors-swapped": (_class_sums, _class_sums_factors_swapped,
                                       {"fourier"}),
+    "bindiff-x2-not-reversed": (_bindiff_window,
+                                _bindiff_window_with(reverse=False),
+                                _BINDIFF_LABELS),
+    "bindiff-x2-at-1-minus-p": (_bindiff_window,
+                                _bindiff_window_with(flip=True),
+                                _BINDIFF_LABELS),
 }
 
 
@@ -244,6 +268,9 @@ def _tripped_checks(monkeypatch):
         if [scaled, table.function_values()] != list(
                 _brute_fourier(m, colors, v, p, power)):
             tripped.add("fourier")
+    tripped |= {f"appendix_a.{pt.lemma_id}"
+                for pt in verify_appendix_a(small_grid(0)).points
+                if pt.asserted and pt.passed is False}
     return tripped
 
 
@@ -282,5 +309,7 @@ def test_mutant_trips_its_checks(monkeypatch, name):
 
 def test_every_check_trips_under_some_mutant():
     tripped = set().union(*(expected for *_, expected in MUTANTS.values()))
+    # no mutant trips appendix_a's pointmass_upper, step_bound or its three
+    # finite-space checks
     assert tripped == {*_SCAN_LABELS, "golden", "trajectory", "simulator",
-                       "fourier"}
+                       "fourier", *_BINDIFF_LABELS}

@@ -88,12 +88,10 @@ def test_bindiff_table_mass_and_cdf():
         assert (dist.table >= 0).all()
         assert dist.cdf(n1) == pytest.approx(1.0, abs=1e-12)
         assert dist.cdf(-n2 - 1) == 0.0
-        # windowed point values agree with the table
+        # point values are the table's values
         for d in (-3, 0, 1, 5):
-            assert bindiff_pmf(n1, n2, p, d) == pytest.approx(
-                dist.pmf(d), rel=1e-11, abs=1e-300)
-            assert bindiff_cdf(n1, n2, p, d) == pytest.approx(
-                dist.cdf(d), rel=1e-11)
+            assert bindiff_pmf(n1, n2, p, d) == dist.pmf(d)
+            assert bindiff_cdf(n1, n2, p, d) == dist.cdf(d)
 
 
 def test_bindiff_unimodal_when_equal_counts():
@@ -173,9 +171,49 @@ def test_bindiff_matches_brute_force(n1, n2, d, p):
         float(geq), rel=1e-9, abs=1e-12)
 
 
-def test_table_limit_enforced():
-    with pytest.raises(ValueError):
-        BinDiffDist(15_000, 15_000, 0.5)
+def test_tables_have_no_size_limit():
+    dist = BinDiffDist(15_000, 15_000, 0.5)
+    assert abs(dist.total_mass() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n1,n2", [(-3, 5), (5, -1), (-1, 0)])
+@pytest.mark.parametrize("fn,p", [
+    (BinDiffDist, 0.3), (bindiff_pmf, 0.3), (bindiff_cdf, 0.3),
+    (bindiff_pmf_exact, Fraction(1, 3)), (bindiff_geq_exact, Fraction(1, 3))])
+def test_bindiff_rejects_negative_trial_counts(fn, p, n1, n2):
+    args = (n1, n2, p) if fn is BinDiffDist else (n1, n2, p, -1)
+    with pytest.raises(ValueError, match="trial counts must be nonnegative"):
+        fn(*args)
+
+
+def test_bindiff_pmf_matches_50_digit_sums():
+    # a reference sharing no code with the window convolution: every term of
+    # sum_k P(X1 = k + d) P(X2 = k), each pmf built by its ratio recurrence
+    import mpmath as mp
+
+    def pmfs(n, q):
+        out = [(1 - q) ** n]
+        for k in range(n):
+            out.append(out[-1] * (n - k) / (k + 1) * q / (1 - q))
+        return out
+
+    with mp.workdps(50):
+        for n1, n2, p in [(1000, 1000, 0.5), (12_000, 8_000, 0.1),
+                          (60, 100, 0.01)]:
+            q = mp.mpf(p)
+            pmf1, pmf2 = pmfs(n1, q), pmfs(n2, q)
+            mode = BinDiffDist(n1, n2, p).mode()
+            sigma = math.sqrt((n1 + n2) * p * (1 - p))
+            ds = {mode, -n2, n1, *(max(-n2, min(n1, mode + round(s * sigma)))
+                                   for s in (-10, -3, 3, 10))}
+            for d in sorted(ds):
+                ref = mp.fsum(pmf1[k + d] * pmf2[k]
+                              for k in range(max(0, -d), min(n2, n1 - d) + 1))
+                got = bindiff_pmf(n1, n2, p, d)
+                # relative error is not gated in the far tails, which the
+                # window drops by design
+                bound = 1e-14 * ref if ref >= 1e-12 else 1e-27
+                assert abs(mp.mpf(got) - ref) <= bound, (n1, n2, p, d)
 
 
 def test_normal_cdf_values():
@@ -284,9 +322,8 @@ def test_bindiff_matches_scipy_stats_bitwise(monkeypatch):
                                      n1 - 1, n1, n1 + 1}):
                         out += [bindiff_pmf(n1, n2, p, d),
                                 bindiff_cdf(n1, n2, p, d)]
-                    if n1 + n2 <= 20000 and (n1 <= 1000 or n2 == 0):
-                        dist = BinDiffDist(n1, n2, p)
-                        out += [*dist.table, *dist.cdf_table]
+                    dist = BinDiffDist(n1, n2, p)
+                    out += [*dist.table, *dist.cdf_table]
         return np.array(out)
 
     ours = values()

@@ -9,10 +9,10 @@ previous day:
   current color only at d1 = d2 - 1.
 
 `margins` is the one computation of a graph's d1 - d2, for the simulator and
-the structural sets.  `keep_margin` writes the thresholds and `takes_color1`
-is the one threshold, called by the simulator, the exact oracle, the
-structural sets and the Fourier keep indicators; `stats.compute_mu` and
-`compute_mu_exact` read the keep margin.
+the structural sets, and the kernel of each day of `run`.  `keep_margin`
+writes the thresholds and `takes_color1` is the one threshold, called by the
+simulator, the exact oracle, the structural sets and the Fourier keep
+indicators; `stats.compute_mu` and `compute_mu_exact` read the keep margin.
 
 Synchronous runs are eventually periodic with period at most 2, so a run
 terminates on unanimity, on a repeat of the state one or two days back, or
@@ -29,7 +29,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .graphs import ColoredGraph, pack_color_mask, popcount_rows
+from .graphs import ColoredGraph
 
 __all__ = [
     "UpdateRule",
@@ -114,13 +114,20 @@ def takes_color1(margin, color1, rule: UpdateRule):
     it takes color 1, below it color 2, and at it the vertex keeps its
     color.
     """
-    keep = keep_margin(rule)
-    return (margin > keep) | ((margin == keep) & color1)
+    return margin + color1 > keep_margin(rule)
 
 
 def margins(g: ColoredGraph, color1_words: np.ndarray) -> np.ndarray:
-    """d1 - d2 of every vertex when color1_words packs the color-1 vertices."""
-    return 2 * popcount_rows(g.adj & color1_words[None, :]) - g.degrees
+    """d1 - d2 of every vertex when color1_words packs the color-1 vertices:
+    rows are ANDed and popcounted one block of about 2^17 words at a time,
+    so the temporary stays in L2, and the popcounts are summed in int32."""
+    n, w = g.adj.shape
+    rows = max(1, (1 << 17) // max(w, 1))
+    d1 = np.empty(n, dtype=np.int32)
+    for r in range(0, n, rows):
+        np.bitwise_count(g.adj[r:r + rows] & color1_words).sum(
+            axis=1, dtype=np.int32, out=d1[r:r + rows])
+    return 2 * d1 - g.degrees
 
 
 def step(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD) -> ColoredGraph:
@@ -131,25 +138,30 @@ def step(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD) -> ColoredGrap
 
 def run(g: ColoredGraph, rule: UpdateRule = UpdateRule.STANDARD,
         cap: int = 1000) -> DynamicsTrace:
-    """Iterate days until unanimity, a period <= 2 repeat, or the cap."""
+    """Iterate days until unanimity, a period <= 2 repeat, or the cap.
+
+    The color-1 flags sit in a bool buffer padded to whole words, packed by
+    one `np.packbits` a day; a repeat is a match of the packed bytes one or
+    two days back."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     n = g.n
-    color1 = g.colors == 1
-    # packed color-1 words of this day, the day before and the one before that
-    words, last, before = g.color1_words, None, None
+    flags = np.zeros(g.adj.shape[1] * 64, dtype=bool)
+    flags[:n] = g.colors == 1
+    words, key, last = g.color1_words, None, None
     counts = []
     for day in range(cap + 1):
         if day:
-            color1 = takes_color1(margins(g, words), color1, rule)
-            words, last, before = pack_color_mask(color1), words, last
-        c1 = int(np.count_nonzero(color1))
+            flags[:n] = takes_color1(margins(g, words), flags[:n], rule)
+            words = np.packbits(flags, bitorder="little").view("<u8")
+        key, last, before = words.tobytes(), key, last
+        c1 = int(np.count_nonzero(flags))
         counts.append((day, c1))
         if c1 in (0, n):
             return DynamicsTrace(n, counts, Unanimity(1 if c1 == n else 2, day))
-        if last is not None and np.array_equal(words, last):
+        if key == last:
             return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 1, period=1))
-        if before is not None and np.array_equal(words, before):
+        if key == before:
             return DynamicsTrace(n, counts, TwoCycle(entered_day=day - 2, period=2))
     return DynamicsTrace(n, counts, CapReached(cap))
 

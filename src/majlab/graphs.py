@@ -8,8 +8,10 @@ word-AND plus popcount.  Colors are the integers 1 and 2.
 sorted linear indices of the present pairs (`_sample_pair_indices`, the only
 stage that calls the RNG; below p = 1/3 it applies numpy's own inversion
 formula to standard exponentials, so sampled bits rest on that formula too),
-a per-row mapping turns them into pairs i < j (`_pairs_from_linear`), and
-one flat scatter adds both orientations' bits into the words.
+a per-row mapping turns them into pairs i < j (`_pairs_from_linear`, one
+search of the row starts), and one flat scatter adds both orientations' bits
+into the words.  Color-1 flags are packed by one `np.packbits` over a buffer
+padded to whole words, the layout `dynamics.run` keeps its flags in.
 """
 
 from __future__ import annotations
@@ -46,12 +48,9 @@ def _n_words(n: int) -> int:
 
 def pack_color_mask(flags: np.ndarray) -> np.ndarray:
     """Pack a boolean vector of length n into uint64 words, bit j -> word j>>6, bit j&63."""
-    n = flags.shape[0]
-    w = _n_words(n)
-    b = np.packbits(flags.astype(np.uint8), bitorder="little")
-    out = np.zeros(w * 8, dtype=np.uint8)
-    out[: b.shape[0]] = b
-    return out.view("<u8")
+    padded = np.zeros(_n_words(flags.shape[0]) * _WORD, dtype=bool)
+    padded[:flags.shape[0]] = flags
+    return np.packbits(padded, bitorder="little").view("<u8")
 
 
 def unpack_row(words: np.ndarray, n: int) -> np.ndarray:
@@ -62,7 +61,7 @@ def unpack_row(words: np.ndarray, n: int) -> np.ndarray:
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a (..., W) uint64 array."""
-    return np.bitwise_count(words).sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def split_seed(master_seed: int, *path: int) -> int:
@@ -293,14 +292,15 @@ def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Map linear upper-triangle indices to (i, j) with i < j.
 
     idx must be strictly increasing, as the geometric skips make it: then
-    the pairs of row i are one contiguous run of idx, so n searches of the
-    row starts into idx give every row's count, and i is each row repeated.
+    the pairs of row i are one contiguous run of idx, so searching the n
+    row starts into idx gives every row's count, and i is each row repeated.
     """
-    rows = np.arange(n - 1, dtype=np.int64)
-    row_starts = rows * (n - 1) - rows * (rows - 1) // 2
-    counts = np.diff(np.searchsorted(idx, row_starts), append=idx.shape[0])
-    # j = i + 1 + (idx - row_starts[i]), with the per-row offset repeated
-    return np.repeat(rows, counts), idx - np.repeat(row_starts - rows - 1, counts)
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2
+    ends = np.searchsorted(idx, starts)
+    counts, rows, starts = ends[1:] - ends[:-1], rows[:-1], starts[:-1]
+    # j = i + 1 + (idx - starts[i]), with the per-row offset repeated
+    return np.repeat(rows, counts), idx - np.repeat(starts - rows - 1, counts)
 
 
 def sample_gnp(params: GraphParams, scheme: ColoringScheme) -> ColoredGraph:
@@ -326,9 +326,7 @@ def sample_gnp(params: GraphParams, scheme: ColoringScheme) -> ColoredGraph:
 
     if isinstance(scheme, FixedGap):
         c1, c2 = scheme.class_sizes(n)
-        base = np.concatenate(
-            [np.ones(c1, dtype=np.int8), np.full(c2, 2, dtype=np.int8)]
-        )
+        base = np.repeat(np.array([1, 2], dtype=np.int8), (c1, c2))
         colors = base[rng.permutation(n)]
     elif isinstance(scheme, RandomHalf):
         colors = np.where(rng.random(n) < 0.5, 1, 2).astype(np.int8)

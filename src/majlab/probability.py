@@ -14,7 +14,6 @@ in oracle mode.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from itertools import accumulate
 from typing import Union
@@ -195,12 +194,15 @@ def binom_pmf_exact(n: int, p: Union[Fraction, int], k: int) -> Fraction:
 
 
 def _pmf_numerators(n: int, p: Fraction) -> list[int]:
-    """b^n P(Bin(n,p) = k) = C(n,k) a^k (b-a)^(n-k) for k in [0, n], p = a/b."""
+    """b^n P(Bin(n,p) = k) = C(n,k) a^k (b-a)^(n-k) for k in [0, n], p = a/b,
+    by the exact ratio N_(k+1) = N_k (n-k) a / ((k+1)(b-a))."""
     a, b = p.numerator, p.denominator
-    # a^k and (b-a)^k as running products, one multiplication per power
-    a_pow = [*accumulate([a] * n, operator.mul, initial=1)]
-    c_pow = [*accumulate([b - a] * n, operator.mul, initial=1)]
-    return [math.comb(n, k) * a_pow[k] * c_pow[n - k] for k in range(n + 1)]
+    if a == b:
+        return [0] * n + [1]
+    out = [(b - a) ** n]
+    for k in range(n):
+        out.append(out[-1] * (n - k) * a // ((k + 1) * (b - a)))
+    return out
 
 
 def bindiff_pmf_exact(n1: int, n2: int, p: Union[Fraction, int], d: int) -> Fraction:

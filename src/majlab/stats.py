@@ -400,7 +400,8 @@ def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
     desk_p = _desk_p_range(n, p)
     delta_window = 1 <= delta_f <= 10 / p
 
-    e_c11_biased = expected_biased_day1_count(c1, c2, p)
+    e_c11_biased = float(expected_biased_day1_count(
+        c1, c2, Fraction(p) if exact_mode else p))
 
     records: list[LemmaRecord] = []
 

@@ -180,6 +180,18 @@ def random_colored_graph(rng: np.random.Generator, n: int,
     return ColoredGraph.from_edges(n, pairs, colors), edges, colors
 
 
+def dense_colored_graph(rng: np.random.Generator, n: int,
+                        p: float) -> tuple[ColoredGraph, tuple[np.ndarray, np.ndarray], list[int]]:
+    """A random colored graph from a dense adjacency matrix, packed row by
+    row with `np.packbits`, for sizes where `random_colored_graph`'s loop over
+    pairs is too slow: (graph, edge index arrays (i, j) with i < j, colors)."""
+    upper = np.triu(rng.random((n, n), dtype=np.float32) < p, 1)
+    rows = np.zeros((n, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    rows[:, :(n + 7) // 8] = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    colors = [int(c) for c in rng.integers(1, 3, n)]
+    return ColoredGraph(n, rows.view("<u8"), colors), np.nonzero(upper), colors
+
+
 def brute_bindiff_pmf(n1: int, n2: int, p: Fraction, d: int) -> Fraction:
     """P(X1 - X2 = d) by enumerating all 2^(n1+n2) Bernoulli outcomes."""
     p = Fraction(p)

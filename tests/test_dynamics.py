@@ -10,7 +10,8 @@ from majlab import dynamics
 from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, RandomHalf,
                            sample_gnp)
 
-from conftest import graph_per_day_run, naive_step, random_colored_graph
+from conftest import (dense_colored_graph, graph_per_day_run, naive_step,
+                      random_colored_graph)
 
 
 def test_k3_majority_step():
@@ -107,6 +108,45 @@ def test_run_matches_graph_per_day_reference(n, p):
                     assert got.counts == want.counts, (scheme, seed, rule, cap)
                     assert got.termination == want.termination, \
                         (scheme, seed, rule, cap)
+
+
+# word boundaries, and at n = 3001 (47 words a row) rows in two blocks of
+# `margins`, the second partial
+_BLOCK_SIZES = [1, 2, 63, 64, 65, 129, 3001]
+
+
+def _graph_and_edges(n, p):
+    """(graph, edge index arrays (i, j) with i < j, colors) at seed n."""
+    rng = np.random.default_rng(n)
+    if n > 129:
+        return dense_colored_graph(rng, n, p)
+    g, edges, colors = random_colored_graph(rng, n, p)
+    pairs = np.array([sorted(e) for e in edges], dtype=np.int64).reshape(-1, 2)
+    return g, tuple(pairs.T), colors
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_margins_match_edge_set_counts(n, p):
+    # d1 - d2 counted edge by edge, with no packed words
+    g, (i, j), colors = _graph_and_edges(n, p)
+    vote = np.where(np.array(colors) == 1, 1, -1)
+    want = np.zeros(n, dtype=np.int64)
+    np.add.at(want, i, vote[j])
+    np.add.at(want, j, vote[i])
+    assert dynamics.margins(g, g.color1_words).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_run_matches_graph_per_day_reference_across_blocks(n, p):
+    g = _graph_and_edges(n, p)[0]
+    for rule in UpdateRule:
+        for cap in (1, 2, None):
+            got = run(g, rule) if cap is None else run(g, rule, cap)
+            want = graph_per_day_run(g, rule, cap or 1000)
+            assert got.counts == want.counts, (rule, cap)
+            assert got.termination == want.termination, (rule, cap)
 
 
 def test_run_builds_no_graph_and_calls_no_step(monkeypatch):

@@ -209,6 +209,15 @@ def test_lemma_report_exact_mode():
     assert rep.record("moment_growth").extra["ratio"] is not None
 
 
+def test_lemma_report_exact_mean_rounded_once():
+    # c1 = 4, c2 = 2 at p = 1/4: the dyadic exact mean is a float, and the
+    # float binomial-difference path misses it by an ulp
+    rep = lemma_report(6, 0.25, 1, trials=100)
+    got = rep.record("biased_day1_tail").extra["exact_mean"]
+    assert expected_biased_day1_count(4, 2, Fraction(1, 4)) == Fraction(2937, 512)
+    assert got == 2937 / 512 == 5.736328125
+
+
 def test_lemma_report_zero_gap():
     # FixedGap accepts delta = 0; the day-2 gap reference takes its limit 0
     for n, p, mode in ((4, 1 / 3, "exact"), (40, 0.3, "mc")):

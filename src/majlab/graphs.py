@@ -4,18 +4,21 @@ Vertices are indices 0..n-1.  Adjacency is stored as n rows of 64-bit words
 (bit j of row i set iff i ~ j), so neighbourhood/color intersections are
 word-AND plus popcount.  Colors are the integers 1 and 2.
 
-`sample_gnp` builds the adjacency in three stages: geometric skips draw the
-sorted linear indices of the present pairs (`_sample_pair_indices`, the only
-stage that calls the RNG; below p = 1/3 it applies numpy's own inversion
-formula to standard exponentials, so sampled bits rest on that formula too),
-a per-row mapping turns them into pairs i < j (`_pairs_from_linear`, one
-search of the row starts), and one flat scatter adds both orientations' bits
-into the words.  Color-1 flags are packed by one `np.packbits` over a buffer
-padded to whole words, the layout `dynamics.run` keeps its flags in.
+`sample_gnp` streams the adjacency in blocks of `_BLOCK` pairs: geometric
+skips draw the next sorted linear indices of present pairs (the only stage
+that calls the RNG; below p = 1/3 it applies numpy's own inversion formula to
+standard exponentials, so sampled bits rest on that formula too), per-row
+tables map them to columns j, and one flat scatter adds both orientations'
+bits into the words.  A batch of skips is drawn block by block with the sum
+carried over, and its rest is drawn even past the last pair: numpy fills
+draws sequentially, so the stream ends where one whole-batch draw leaves it.
+Color-1 flags are packed by one `np.packbits` over a buffer padded to whole
+words, the layout `dynamics.run` keeps its flags in.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -249,8 +252,11 @@ class ColoredGraph:
 def _geometric_skips(rng: np.random.Generator, p: float, size: int, cap: int) -> np.ndarray:
     """size draws of rng.geometric(p).  Below p = 1/3 numpy draws them as
     ceil(E / -log1p(-p)) for standard exponentials E; that formula, with the
-    log taken once, gives the same values, here clamped at cap.
+    log taken once, gives the same values, here clamped at cap.  At p = 1
+    every skip is 1, and nothing is drawn.
     """
+    if p >= 1.0:
+        return np.ones(size, dtype=np.int64)
     if p >= 1.0 / 3.0:
         return rng.geometric(p, size=size)
     gaps = rng.standard_exponential(size)
@@ -260,47 +266,62 @@ def _geometric_skips(rng: np.random.Generator, p: float, size: int, cap: int) ->
     return np.minimum(gaps, cap, out=gaps).astype(np.int64)
 
 
-def _sample_pair_indices(rng: np.random.Generator, n_pairs: int, p: float) -> np.ndarray:
-    """Strictly increasing indices of present pairs among 0..n_pairs-1, each
-    independently kept w.p. p.
+# Pairs drawn, mapped and scattered per block, so the block's arrays stay in L2
+_BLOCK = 1 << 15
 
-    Geometric skips between successes, so work is proportional to the number
-    of edges rather than the number of pairs.  Clamping skips at n_pairs + 1,
-    past which any skip ends the sample, keeps the sums from overflowing.
-    """
+
+@functools.lru_cache(maxsize=4)
+def _row_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Per row i, read-only and built once per n: the index of its first pair
+    (pairs i < j are numbered row by row; the last entry is the pair count),
+    that index - i - 1, i * W, i >> 6 and the bit 1 << (i & 63)."""
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - 1 - rows) >> 1
+    tables = (starts, starts - rows - 1, rows * _n_words(n), rows >> 6,
+              np.uint64(1) << (rows & 63).view(np.uint64))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _sample_adjacency(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Bit-packed G(n,p) adjacency.  Skips make the work proportional to the
+    edge count; clamping them at n_pairs + 1, past which any skip ends the
+    sample, keeps the sums from overflowing."""
+    w = _n_words(n)
+    adj = np.zeros((n, w), dtype=np.uint64)
+    n_pairs = n * (n - 1) // 2
     if p <= 0.0 or n_pairs == 0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(n_pairs, dtype=np.int64)
-    chunks = []
-    pos = 0
+        return adj
+    flat = adj.reshape(-1)
+    starts, offsets, row_words, bands, bits = _row_tables(n)
+
+    def scatter(idx):
+        # idx increases, so rows a - 1 .. b - 1 hold it, each as one run
+        a, b = starts.searchsorted(idx[[0, -1]], side="right").tolist()
+        ends = idx.searchsorted(starts[a - 1:b + 1])
+        counts, rs = ends[1:] - ends[:-1], slice(a - 1, b)
+        j = idx - offsets[rs].repeat(counts)
+        # A simple graph sets each bit once, so adding bits into a word ors them.
+        np.add.at(flat, row_words[rs].repeat(counts) + (j >> 6),
+                  np.uint64(1) << (j & 63).view(np.uint64))
+        np.add.at(flat, j * w + bands[rs].repeat(counts), bits[rs].repeat(counts))
+
     mean = n_pairs * p
     batch = min(int(mean + 10.0 * np.sqrt(mean + 1.0) + 16), 1 << 24)
-    while pos < n_pairs:
-        gaps = _geometric_skips(rng, p, batch, n_pairs + 1)
-        gaps[0] += pos - 1
-        steps = np.cumsum(gaps, out=gaps)
-        cut = int(np.searchsorted(steps, n_pairs - 1, side="right"))
-        chunks.append(steps[:cut])
-        if cut < batch:
-            break
-        pos = int(steps[-1]) + 1
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
-def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear upper-triangle indices to (i, j) with i < j.
-
-    idx must be strictly increasing, as the geometric skips make it: then
-    the pairs of row i are one contiguous run of idx, so searching the n
-    row starts into idx gives every row's count, and i is each row repeated.
-    """
-    rows = np.arange(n, dtype=np.int64)
-    starts = rows * (n - 1) - rows * (rows - 1) // 2
-    ends = np.searchsorted(idx, starts)
-    counts, rows, starts = ends[1:] - ends[:-1], rows[:-1], starts[:-1]
-    # j = i + 1 + (idx - starts[i]), with the per-row offset repeated
-    return np.repeat(rows, counts), idx - np.repeat(starts - rows - 1, counts)
+    last = -1  # the last index drawn; n_pairs or more once the sample is done
+    while last < n_pairs - 1:
+        for lo in range(0, batch, _BLOCK):
+            steps = _geometric_skips(rng, p, min(_BLOCK, batch - lo), n_pairs + 1)
+            if last >= n_pairs:
+                continue
+            steps[0] += last
+            np.cumsum(steps, out=steps)
+            cut = int(steps.searchsorted(n_pairs - 1, side="right"))
+            if cut:
+                scatter(steps[:cut])
+            last = int(steps[-1])
+    return adj
 
 
 def sample_gnp(params: GraphParams, scheme: ColoringScheme) -> ColoredGraph:
@@ -310,20 +331,9 @@ def sample_gnp(params: GraphParams, scheme: ColoringScheme) -> ColoredGraph:
     adjacency is drawn first and the coloring second from a single stream
     seeded by params.seed, so equal inputs give bit-identical graphs.
     """
-    n, p = params.n, params.p
+    n = params.n
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
-    w = _n_words(n)
-    adj = np.zeros((n, w), dtype=np.uint64)
-    n_pairs = n * (n - 1) // 2
-    idx = _sample_pair_indices(rng, n_pairs, p)
-    if idx.shape[0]:
-        i, j = _pairs_from_linear(n, idx)
-        one = np.uint64(1)
-        flat = adj.reshape(-1)
-        # A simple graph sets each bit once, so adding bits into a word ors them.
-        np.add.at(flat, i * w + (j >> 6), one << (j & 63).view(np.uint64))
-        np.add.at(flat, j * w + (i >> 6), one << (i & 63).view(np.uint64))
-
+    adj = _sample_adjacency(rng, n, params.p)
     if isinstance(scheme, FixedGap):
         c1, c2 = scheme.class_sizes(n)
         base = np.repeat(np.array([1, 2], dtype=np.int8), (c1, c2))

@@ -5,6 +5,11 @@ and every configuration of v's m - 1 star edges, 2^(m-1) of each.  It reads
 nothing of the class-count kernel in `majlab.fourier`, not even mu_v or the
 update rule, so it anchors those tables at m = 5..7, where the whole-cube
 brute force (`conftest.brute_fourier`) is too slow.
+
+`_sample_pair_indices` and `_pairs_from_linear` are the whole-array G(n,p)
+sampler that `graphs.sample_gnp` streamed by blocks replaced: every present
+pair index of the sample in one array, then every (i, j) pair.  They anchor
+the blocked sampler's bits and the generator state it leaves.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from majlab.fourier import edge_list
+from majlab.graphs import _geometric_skips
 
 
 def star_edges(m: int, v: int) -> list[int]:
@@ -52,3 +58,46 @@ def star_fourier(m: int, colors, v: int, p: Fraction,
     basis = (np.power(2 - 2 * p, np.bitwise_count(s & x).astype(object))
              * np.power(-2 * p, np.bitwise_count(s & ~x).astype(object)))
     return (basis @ (weights * values)).tolist(), values.tolist()
+
+
+def _sample_pair_indices(rng: np.random.Generator, n_pairs: int, p: float) -> np.ndarray:
+    """Strictly increasing indices of present pairs among 0..n_pairs-1, each
+    independently kept w.p. p.
+
+    Geometric skips between successes, so work is proportional to the number
+    of edges rather than the number of pairs.  Clamping skips at n_pairs + 1,
+    past which any skip ends the sample, keeps the sums from overflowing.
+    """
+    if p <= 0.0 or n_pairs == 0:
+        return np.empty(0, dtype=np.int64)
+    if p >= 1.0:
+        return np.arange(n_pairs, dtype=np.int64)
+    chunks = []
+    pos = 0
+    mean = n_pairs * p
+    batch = min(int(mean + 10.0 * np.sqrt(mean + 1.0) + 16), 1 << 24)
+    while pos < n_pairs:
+        gaps = _geometric_skips(rng, p, batch, n_pairs + 1)
+        gaps[0] += pos - 1
+        steps = np.cumsum(gaps, out=gaps)
+        cut = int(np.searchsorted(steps, n_pairs - 1, side="right"))
+        chunks.append(steps[:cut])
+        if cut < batch:
+            break
+        pos = int(steps[-1]) + 1
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map linear upper-triangle indices to (i, j) with i < j.
+
+    idx must be strictly increasing, as the geometric skips make it: then
+    the pairs of row i are one contiguous run of idx, so searching the n
+    row starts into idx gives every row's count, and i is each row repeated.
+    """
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2
+    ends = np.searchsorted(idx, starts)
+    counts, rows, starts = ends[1:] - ends[:-1], rows[:-1], starts[:-1]
+    # j = i + 1 + (idx - starts[i]), with the per-row offset repeated
+    return np.repeat(rows, counts), idx - np.repeat(starts - rows - 1, counts)

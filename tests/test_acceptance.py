@@ -35,6 +35,11 @@ def _conclude(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _fmt(x, spec: str) -> str:
+    """x formatted by spec, or "none" for a statistic no trial defined."""
+    return "none" if x is None else format(x, spec)
+
+
 def test_criterion_1_exact_identities_exhaustive():
     t0 = time.perf_counter()
     combos = 0
@@ -219,9 +224,9 @@ def test_criterion_5_phenomena_at_scale():
     _conclude(
         "5 phenomenon reproduction",
         a_ok and b_ok and c_ok and elapsed < 1800.0,
-        f"(a) win1={a.p_hat:.3f} days={a.mean_days:.1f}; "
+        f"(a) win1={a.p_hat:.3f} days={_fmt(a.mean_days, '.1f')}; "
         f"(b) ci=[{b.wilson_lo:.3f},{b.wilson_hi:.3f}]; "
-        f"(c) majority rate={c.majority_win_rate:.3f}; "
+        f"(c) majority rate={_fmt(c.majority_win_rate, '.3f')}; "
         f"time={elapsed:.0f}s (limit 1800s)")
 
 

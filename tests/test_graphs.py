@@ -1,16 +1,18 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from majlab import graphs
 from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, RandomBiased,
                            RandomHalf, _geometric_skips, _n_words,
-                           _pairs_from_linear, _sample_pair_indices,
-                           degree_split, pack_color_mask, sample_gnp,
-                           split_seed, unpack_row)
+                           _sample_adjacency, degree_split, pack_color_mask,
+                           sample_gnp, split_seed, unpack_row)
+from reference import _pairs_from_linear, _sample_pair_indices
 
 
 def test_p_one_gives_complete_graph():
@@ -60,6 +62,8 @@ def _reference_adjacency(n, idx):
     (2000, 0.05, range(2)),
 ])
 def test_sampler_matches_reference_construction(n, p, seeds):
+    # the whole-array sampler in tests/reference.py anchors the blocked one:
+    # the same bits, and the generator left where the coloring reads it
     for seed in seeds:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         idx = _sample_pair_indices(rng, n * (n - 1) // 2, p)
@@ -67,8 +71,58 @@ def test_sampler_matches_reference_construction(n, p, seeds):
         ref_i, ref_j = _reference_pairs(n, idx)
         assert i.dtype == ref_i.dtype and j.dtype == ref_j.dtype
         assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+        ours = np.random.default_rng(np.random.SeedSequence(seed))
+        assert np.array_equal(_sample_adjacency(ours, n, p), _reference_adjacency(n, idx))
+        assert ours.bit_generator.state == rng.bit_generator.state
         g = sample_gnp(GraphParams(n, p, seed), RandomHalf())
         assert np.array_equal(g.adj, _reference_adjacency(n, idx))
+
+
+_BOUNDARY_P = (0.0, 0.3, float(np.nextafter(1 / 3, 0)), 1 / 3, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("n,block", [
+    *((n, block) for n in (1, 2, 63, 64, 65, 129) for block in (1, 3, 64)),
+    (2000, 64),
+])
+def test_sampler_blocks_match_default_block(monkeypatch, n, block):
+    # the draw, the cut, the carried sum and the scatter all cross block
+    # edges here; at n = 2000 blocks of 1 or 3 take minutes, so 64 only
+    expected = {(p, seed): sample_gnp(GraphParams(n, p, seed), FixedGap(n % 2))
+                for p in _BOUNDARY_P for seed in range(2)}
+    monkeypatch.setattr(graphs, "_BLOCK", block)
+    for (p, seed), want in expected.items():
+        got = sample_gnp(GraphParams(n, p, seed), FixedGap(n % 2))
+        assert np.array_equal(got.adj, want.adj), (p, seed)
+        assert np.array_equal(got.colors, want.colors), (p, seed)
+
+
+@pytest.mark.parametrize("p", [1e-5, 0.01, 0.3, float(np.nextafter(1 / 3, 0)),
+                               1 / 3, 0.5, 0.9])
+@pytest.mark.parametrize("sizes", [(1, 4999), (3, 64, 1, 4932), (2500, 2500),
+                                   (0, 5000, 0)])
+def test_geometric_skips_split_draws_equal_one_draw(p, sizes):
+    # the blocked sampler rests on this: numpy fills draws sequentially, so
+    # draws whose sizes sum to N give the values and state of one draw of N
+    for seed in range(3):
+        split, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.concatenate([_geometric_skips(split, p, k, 200) for k in sizes])
+        assert np.array_equal(got, _geometric_skips(whole, p, sum(sizes), 200))
+        assert split.bit_generator.state == whole.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [0.01, 10 * 10_000 ** (-2 / 3)])
+def test_sampler_peak_memory_near_adjacency(p):
+    # the blocked sampler holds the adjacency and a few block-sized arrays;
+    # one whole-edge int64 temporary (4-9 MB at these sizes) would fail it
+    sample_gnp(GraphParams(100, p, 0), RandomHalf())  # warm any lazy state
+    tracemalloc.start()
+    try:
+        g = sample_gnp(GraphParams(10_000, p, 3), RandomHalf())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= g.adj.nbytes + (4 << 20), (peak, g.adj.nbytes)
 
 
 # sha256 of adj.tobytes() + colors.tobytes(): equal seeds must keep giving
@@ -92,6 +146,10 @@ def test_sampler_matches_reference_construction(n, p, seeds):
     pytest.param(65, 1 / 3, 16, RandomHalf(),
                  "fce8a4e3ec7f948691d67c0de17c3fef24d499cf7237bebbc40c407a0e879334",
                  id="random-half-65-third"),
+    # n p C(n,2) > 2^24: the skips come in two batches
+    pytest.param(6000, 0.95, 5, RandomHalf(),
+                 "f230e10a6c8ab948a4428854ab9e18c2914ea758e1466e645cfaa26d2c9aae66",
+                 id="random-half-6000-two-batches"),
 ])
 def test_sampler_golden_digests(n, p, seed, scheme, digest):
     g = sample_gnp(GraphParams(n, p, seed), scheme)

@@ -314,7 +314,7 @@ def _sample_adjacency(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
         for lo in range(0, batch, _BLOCK):
             steps = _geometric_skips(rng, p, min(_BLOCK, batch - lo), n_pairs + 1)
             if last >= n_pairs:
-                continue
+                continue  # drawn only to leave the stream where one batch draw does
             steps[0] += last
             np.cumsum(steps, out=steps)
             cut = int(steps.searchsorted(n_pairs - 1, side="right"))

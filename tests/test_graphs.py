@@ -98,7 +98,7 @@ def test_sampler_blocks_match_default_block(monkeypatch, n, block):
 
 
 @pytest.mark.parametrize("p", [1e-5, 0.01, 0.3, float(np.nextafter(1 / 3, 0)),
-                               1 / 3, 0.5, 0.9])
+                               1 / 3, 0.5, 0.9, 1.0])
 @pytest.mark.parametrize("sizes", [(1, 4999), (3, 64, 1, 4932), (2500, 2500),
                                    (0, 5000, 0)])
 def test_geometric_skips_split_draws_equal_one_draw(p, sizes):

@@ -35,9 +35,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
-from .probability import BERRY_ESSEEN_C, BinDiffDist, bindiff_pmf, normal_cdf
+from .probability import (BERRY_ESSEEN_C, BinDiffDist, bindiff_pmf, ndtr,
+                          normal_cdf)
 
 __all__ = [
     "InequalityPoint",

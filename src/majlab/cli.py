@@ -6,7 +6,7 @@ MAJLAB_WORKERS) bounds parallelism, with 1 forcing sequential execution.
 Exit codes: 0 success; 2 for any argument or input file that majlab rejects
 (every ValueError, including a sweep --results file that another sweep
 configuration wrote); 1 for an OS or file failure; 3 when verify finds an
-asserted inequality violated.
+asserted inequality violated; 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -375,6 +375,11 @@ def main(argv=None) -> int:
     except (OSError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted; a sweep with --results resumes from its last "
+              "finished cell when the same command is run again",
+              file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily, on first use; load it with majlab
 
 __all__ = [
     "ColoredGraph",

@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -206,9 +206,29 @@ def _execute_cell(cell: Cell, cfg: ExperimentConfig, pool) -> CellResult:
     return _aggregate(cell, list(outcomes))
 
 
+@contextmanager
 def _pool(workers: int):
-    """A process pool of `workers` for a `with` block, or None at workers = 1."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    """A process pool of `workers` for a `with` block, or None at workers = 1.
+
+    If the block raises (a failed write, a signal, Ctrl-C), the queued chunks
+    are cancelled and the workers terminated before the exception goes on;
+    the executor's own exit would wait for every submitted chunk.
+    """
+    if workers <= 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    except BaseException:
+        procs = list(pool._processes.values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        raise
+    pool.shutdown(wait=True)
 
 
 class ForeignResultsError(ValueError):

@@ -3,7 +3,9 @@
 The float paths are built on the Boost binomial pmf/cdf ufuncs in
 scipy.special, the ones scipy.stats.binom wraps, called directly so that
 importing this module does not load scipy.stats.  They keep relative error
-near machine precision even for n ~ 1e6.  Every float value of X1 - X2,
+near machine precision even for n ~ 1e6.  They and appendix_a's ndtr come
+from scipy.special._ufuncs alone, without the scipy.special __init__, whose
+array-API layer cost 0.2 s of every start-up.  Every float value of X1 - X2,
 table or point, comes from one direct convolution of the two pmfs over
 windows whose half-width t solves Bernstein's t^2 = 129 (npq + t/3), so each
 omitted tail of X1 or X2 carries mass below e^-64.5 ~ 1e-28.
@@ -13,13 +15,15 @@ in oracle mode.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import types
 from fractions import Fraction
 from itertools import accumulate
 from typing import Union
 
 import numpy as np
-from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
 __all__ = [
     "BERRY_ESSEEN_C",
@@ -40,6 +44,25 @@ __all__ = [
 BERRY_ESSEEN_C = 0.56
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _special_ufuncs() -> types.ModuleType:
+    """scipy.special._ufuncs, loaded without the scipy.special __init__: a
+    bare package stands in for scipy.special while the extension loads, and a
+    later `import scipy.special` runs the real __init__, which reuses it."""
+    if "scipy.special" in sys.modules:
+        return importlib.import_module("scipy.special._ufuncs")
+    bare = types.ModuleType("scipy.special")
+    bare.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
+    sys.modules["scipy.special"] = bare
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        del sys.modules["scipy.special"]
+
+
+_ufuncs = _special_ufuncs()
+_binom_pmf, _binom_cdf, ndtr = _ufuncs._binom_pmf, _ufuncs._binom_cdf, _ufuncs.ndtr
 
 
 def _pmf(k, n: int, p: float):

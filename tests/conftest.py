@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from majlab.graphs import (ColoredGraph, FixedGap, GraphParams, sample_gnp,
                            split_seed)
@@ -17,6 +18,11 @@ from majlab.dynamics import (CapReached, DynamicsTrace, TwoCycle, Unanimity,
 from majlab.oracle import (ExpectedCount, MomentZ, OracleQuery, SetStat,
                            VarCount, WinProb)
 from majlab.structure import compute_r_hat, compute_s_sets
+
+# Every hypothesis test draws the same examples on every run, and none are
+# replayed from a local example database.
+settings.register_profile("majlab", derandomize=True, database=None)
+settings.load_profile("majlab")
 
 GOLDEN = Path(__file__).parent / "golden" / "oracle_golden.json"
 _GOLDEN_STATS = {

@@ -364,3 +364,15 @@ def test_runtime_failure_exit_1(capsys):
 def test_missing_delta_exits_2(capsys):
     assert run_cli(["simulate", "--n", "10", "--p", "0.5"]) == 2
     assert "--delta is required" in capsys.readouterr().err
+
+
+def test_ctrl_c_exits_130_with_one_resume_line(monkeypatch, capsys):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_sweep", interrupted)
+    code = run_cli(["sweep", "--n", "20", "--p", "0.3", "--delta", "2",
+                    "--trials", "4"])
+    assert code == 130
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "resumes" in err

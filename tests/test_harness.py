@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import multiprocessing
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +139,50 @@ def test_sweep_resume_after_torn_last_line(tmp_path):
         path.write_bytes(intact[:cut])
         run_sweep(cfg)
         assert path.read_bytes() == intact, cut
+
+
+_REAL_ONE_TRIAL = harness._one_trial
+
+
+def _stalls_after_first_cell(n, p, scheme, rule, cap, master_seed, cell, t):
+    # module level, so the forked workers can unpickle it by name
+    if cell > 0:
+        time.sleep(5)
+    return _REAL_ONE_TRIAL(n, p, scheme, rule, cap, master_seed, cell, t)
+
+
+def test_interrupted_sweep_stops_its_workers_and_resumes(tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "res.jsonl"
+    cfg = ExperimentConfig(n_values=(30,), p_values=(0.3,),
+                           delta_values=(1.0, 3.0, 5.0), trials=4,
+                           master_seed=3, workers=2, results_path=str(path))
+    monkeypatch.setattr(harness, "_one_trial", _stalls_after_first_cell)
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("alarm")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            run_sweep(cfg)
+        elapsed = time.monotonic() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.5  # within 1 s of the alarm, not after a 5 s trial
+    assert multiprocessing.active_children() == []
+    interrupted = path.read_bytes()
+
+    monkeypatch.setattr(harness, "_one_trial", _REAL_ONE_TRIAL)
+    run_sweep(cfg)
+    resumed = path.read_bytes()
+    full = tmp_path / "full.jsonl"
+    run_sweep(dataclasses.replace(cfg, results_path=str(full)))
+    assert resumed == full.read_bytes()
+    assert len(interrupted) < len(resumed) and resumed.startswith(interrupted)
 
 
 def test_sweep_manifest(tmp_path):

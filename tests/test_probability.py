@@ -358,12 +358,36 @@ def test_bindiff_cdf_accurate_on_largest_tables():
                 assert abs(dist.cdf(d) - ref) <= 1e-14, (n1, n2, p, d)
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of start-up; majlab must not load it
+def _python(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter on this majlab."""
     src = str(Path(majlab.__file__).resolve().parent.parent)
-    code = ("import sys, majlab, majlab.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of start-up, and the scipy.special
+    # package __init__ (its array API layer, numpy.f2py, numpy.testing)
+    # about 0.2 s; majlab loads only the ufunc module.  numpy.random is
+    # loaded at import, so a first timed call does not pay for it.
+    out = _python(
+        "import sys, majlab, majlab.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy.special' or "
+        "m.startswith(('scipy.stats', 'scipy._lib._array_api', 'numpy.f2py', "
+        "'numpy.testing')))); "
+        "print('numpy.random' in sys.modules)")
+    assert out.split() == ["[]", "True"]
+
+
+@pytest.mark.parametrize("first", ["majlab", "scipy.special"])
+def test_ufuncs_are_scipy_specials_in_either_import_order(first):
+    second = "scipy.special" if first == "majlab" else "majlab"
+    out = _python(
+        f"import {first}, {second}; import scipy.special; "
+        "from majlab import probability; "
+        "assert probability.ndtr is scipy.special.ndtr; "
+        "assert probability._binom_pmf is scipy.special._ufuncs._binom_pmf; "
+        "assert probability._binom_cdf is scipy.special._ufuncs._binom_cdf; "
+        "print(repr(float(scipy.special.gammaln(3.0))))")
+    assert float(out) == math.log(2.0)

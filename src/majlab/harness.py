@@ -221,6 +221,7 @@ def _pool(workers: int):
     try:
         yield pool
     except BaseException:
+        # no public handle on the workers before Python 3.14's terminate_workers
         procs = list(pool._processes.values())
         pool.shutdown(wait=False, cancel_futures=True)
         for proc in procs:

@@ -371,8 +371,11 @@ def test_ctrl_c_exits_130_with_one_resume_line(monkeypatch, capsys):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "run_sweep", interrupted)
-    code = run_cli(["sweep", "--n", "20", "--p", "0.3", "--delta", "2",
-                    "--trials", "4"])
+    try:
+        code = run_cli(["sweep", "--n", "20", "--p", "0.3", "--delta", "2",
+                        "--trials", "4"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped majlab's main")
     assert code == 130
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "resumes" in err

@@ -222,12 +222,11 @@ def _pool(workers: int):
         yield pool
     except BaseException:
         # no public handle on the workers before Python 3.14's terminate_workers
-        procs = list(pool._processes.values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
+        for proc in list(pool._processes.values()):
             proc.terminate()
-        for proc in procs:
-            proc.join()
+        # the executor's thread reaps the dead workers; a second reaper here
+        # could see the pid gone before that thread records its exit code
+        pool.shutdown(wait=True, cancel_futures=True)
         raise
     pool.shutdown(wait=True)
 

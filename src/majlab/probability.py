@@ -5,10 +5,12 @@ scipy.special, the ones scipy.stats.binom wraps, called directly so that
 importing this module does not load scipy.stats.  They keep relative error
 near machine precision even for n ~ 1e6.  They and appendix_a's ndtr come
 from scipy.special._ufuncs alone, without the scipy.special __init__, whose
-array-API layer cost 0.2 s of every start-up.  Every float value of X1 - X2,
-table or point, comes from one direct convolution of the two pmfs over
-windows whose half-width t solves Bernstein's t^2 = 129 (npq + t/3), so each
-omitted tail of X1 or X2 carries mass below e^-64.5 ~ 1e-28.
+array-API layer cost 0.2 s of every start-up; scipy's OpenBLAS, which that
+module starts, is loaded with its idle workers asleep instead of spinning.
+Every float value of X1 - X2, table or point, comes from one direct
+convolution of the two pmfs over windows whose half-width t solves
+Bernstein's t^2 = 129 (npq + t/3), so each omitted tail of X1 or X2
+carries mass below e^-64.5 ~ 1e-28.
 Exact-rational twins of the small cases back the float paths in tests and
 in oracle mode.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import os
 import sys
 import types
 from fractions import Fraction
@@ -49,16 +52,23 @@ _SQRT2 = math.sqrt(2.0)
 def _special_ufuncs() -> types.ModuleType:
     """scipy.special._ufuncs, loaded without the scipy.special __init__: a
     bare package stands in for scipy.special while the extension loads, and a
-    later `import scipy.special` runs the real __init__, which reuses it."""
+    later `import scipy.special` runs the real __init__, which reuses it.
+    The extension starts scipy's own OpenBLAS, whose idle workers would spin
+    2^28 cycles (~0.1 s of a core, inside the caller's first work) before they
+    sleep; OPENBLAS_THREAD_TIMEOUT=4 for the load, unless set, sleeps them."""
     if "scipy.special" in sys.modules:
         return importlib.import_module("scipy.special._ufuncs")
     bare = types.ModuleType("scipy.special")
     bare.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
     sys.modules["scipy.special"] = bare
+    quiet = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     try:
         return importlib.import_module("scipy.special._ufuncs")
     finally:
         del sys.modules["scipy.special"]
+        if quiet:
+            del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 
 _ufuncs = _special_ufuncs()

@@ -391,3 +391,41 @@ def test_ufuncs_are_scipy_specials_in_either_import_order(first):
         "assert probability._binom_cdf is scipy.special._ufuncs._binom_cdf; "
         "print(repr(float(scipy.special.gammaln(3.0))))")
     assert float(out) == math.log(2.0)
+
+
+_OPENBLAS_SPIN = """
+import os, time
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+import numpy
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        out[tid] = int(fields[11]) + int(fields[12])
+    return out
+
+before = ticks()
+import majlab.probability
+after = ticks()
+time.sleep(0.3)
+end = ticks()
+new = set(end) - set(before)
+print(sum(end[t] - after.get(t, 0) for t in new),
+      os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="per-thread CPU times come from /proc")
+def test_scipy_openblas_workers_sleep_after_load():
+    # scipy.special._ufuncs starts scipy's own OpenBLAS, whose idle workers
+    # spin about 0.1 s of a core before they sleep, inside the first work
+    # after `import majlab`; they must sleep at once, and the variable that
+    # tells them so must not outlive the load
+    spin_ticks, left = _python(_OPENBLAS_SPIN).split()
+    assert int(spin_ticks) <= 1 and left == "None"
+    kept = _python("import os; os.environ['OPENBLAS_THREAD_TIMEOUT'] = '28'; "
+                   "import majlab; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+    assert kept.strip() == "28"

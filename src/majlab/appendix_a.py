@@ -1,11 +1,21 @@
 """Machine verification of the package's stock of binomial/normal inequalities.
 
-Each check computes both sides at each point of a parameter grid: from a
-BinDiffDist table or one bindiff_pmf value (one windowed convolution, which
-drops tails below 1e-28) or exhaustively on a finite toy space.  Points
-that violate a check's hypotheses are recorded as skipped, never as
-failures.  Slack is rhs - lhs for upper bounds and lhs - rhs for lower
-bounds, so a pass is slack >= -1e-9.
+Each check computes both sides at every point of its grid in one call:
+
+* clt_supremum and step_bound read one BinDiffDist table per point;
+* the three point-mass checks read P(X1 - X2 = d) from one windowed
+  convolution (`probability._bindiff_window`, which drops tails below
+  1e-28) per distinct (n1, n2, p), the value bindiff_pmf gives;
+* the three finite-space checks stack the points of one support size (and
+  event size) as the rows of one array and evaluate them together; a row's
+  sums are the sums of that point alone, bit for bit.
+
+Points that violate a check's hypotheses are recorded as skipped, never as
+failures, with their reason, and the report keeps grid order.  Slack is
+rhs - lhs for upper bounds and lhs - rhs for lower bounds, so a pass is
+slack >= -1e-9.  tests/reference.py evaluates every check one point at a
+time, with finite-space checks of its own and bindiff_pmf for the point
+masses; that is the anchor of the batched checks.
 
 Checks and their hypothesis ranges:
 
@@ -31,13 +41,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .probability import (BERRY_ESSEEN_C, BinDiffDist, bindiff_pmf, ndtr,
-                          normal_cdf)
+from . import probability
+from .probability import BERRY_ESSEEN_C, BinDiffDist, ndtr, normal_cdf
 
 __all__ = [
     "InequalityPoint",
@@ -62,9 +72,11 @@ class InequalityPoint:
     reason: Optional[str] = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["pass"] = d.pop("passed")
-        return d
+        """The JSON record; params is shared with the point, not copied."""
+        return {"lemma_id": self.lemma_id, "params": self.params,
+                "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack,
+                "pass": self.passed, "asserted": self.asserted,
+                "reason": self.reason}
 
 
 @dataclass
@@ -199,14 +211,29 @@ def _check_clt_supremum(params: dict) -> tuple[float, float, bool, str]:
     return sup, rhs, True, ""
 
 
-def _check_pointmass_upper(params: dict) -> tuple[float, float, bool, str]:
+def _window_reader():
+    """P(Bin(n1,p) - Bin(n2,p) = d) for (n1, n2, p, d), read from one
+    `probability._bindiff_window` per distinct (n1, n2, p): the value
+    bindiff_pmf gives."""
+    windows: dict[tuple, tuple[int, np.ndarray]] = {}
+
+    def mass(n1: int, n2: int, p: float, d: int) -> float:
+        key = n1, n2, p
+        if key not in windows:
+            windows[key] = probability._bindiff_window(n1, n2, p)
+        lo, w = windows[key]
+        return float(w[d - lo]) if 0 <= d - lo < w.shape[0] else 0.0
+    return mass
+
+
+def _check_pointmass_upper(params: dict, mass) -> tuple[float, float, bool, str]:
     n1, n2, p, d = params["n1"], params["n2"], params["p"], params["d"]
     if d < 1:
         return None, None, False, "needs a positive displacement d"
     if not 0.0 < p < 1.0:
         return None, None, False, "needs p in (0,1)"
     sigma = _sigma(p)
-    lhs = bindiff_pmf(n1, n2, p, d)
+    lhs = mass(n1, n2, p, d)
     rhs = 2 * BERRY_ESSEEN_C * (1.0 - 2.0 * sigma**2) / (
         sigma * math.sqrt(n1 + n2))
     if p > 0.25:
@@ -229,74 +256,122 @@ def _check_step_bound(params: dict) -> tuple[float, float, bool, str]:
     return lhs, rhs, True, ""
 
 
-def _check_equal_point_lower(params: dict) -> tuple[float, float, bool, str]:
+def _check_equal_point_lower(params: dict, mass) -> tuple[float, float, bool, str]:
     n, p = params["n"], params["p"]
     if n < 20:
         return None, None, False, "needs n >= 20"
     if not _logn_over_n(n) <= p <= 1.0 - 10.0 / n:
         return None, None, False, "needs log(n)/n <= p <= 1 - 10/n"
-    lhs = bindiff_pmf(n, n, p, 0)
+    lhs = mass(n, n, p, 0)
     rhs = 1.0 / (6.0 * math.sqrt(n * p * (1.0 - p)))
     return lhs, rhs, True, ""
 
 
-def _check_pointmass_lower(params: dict) -> tuple[float, float, bool, str]:
+def _check_pointmass_lower(params: dict, mass) -> tuple[float, float, bool, str]:
     n, p, d = params["n"], params["p"], params["d"]
     if n < 520:
         return None, None, False, "needs n >= 520"
     if not _logn_over_n(n) <= p < 1.0 - 10.0 / n:
         return None, None, False, "needs log(n)/n <= p < 1 - 10/n"
-    lhs = bindiff_pmf(n, n, p, d)
+    lhs = mass(n, n, p, d)
     rhs = (1.0 / (6.0 * math.sqrt(n * p * (1.0 - p)))
            - 20.0 * BERRY_ESSEEN_C * abs(d) / (n * p * (1.0 - p)))
     return lhs, rhs, True, ""
 
 
-def _cond_stats(probs, values, event):
-    probs = np.asarray(probs)
-    values = np.asarray(values)
-    event = np.asarray(event, dtype=bool)
-    pe = float(probs[event].sum())
-    mean = float((probs * values).sum())
-    var = float((probs * values**2).sum()) - mean**2
-    cp = probs[event] / pe
-    cmean = float((cp * values[event]).sum())
-    cvar = float((cp * values[event] ** 2).sum()) - cmean**2
-    return pe, mean, var, cmean, cvar
+def _stacked(points: list[dict], fields: tuple[str, ...]):
+    """(indices, event size, arrays) per group of points with equal support
+    sizes, and equal event sizes where "event" is a field (0 otherwise):
+    each field's lists stacked as the rows of one array, bool for the event,
+    float otherwise."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, params in enumerate(points):
+        size = (len(params["probs"]),
+                sum(params["event"]) if "event" in fields else 0)
+        groups.setdefault(size, []).append(i)
+    for (_, k), idx in groups.items():
+        yield idx, k, [np.array([points[i][f] for i in idx],
+                                dtype=bool if f == "event" else float)
+                       for f in fields]
 
 
-def _check_conditional_variance(params: dict) -> tuple[float, float, bool, str]:
-    pe, _, var, _, cvar = _cond_stats(params["probs"], params["values"],
-                                      params["event"])
-    return cvar, var / pe, True, ""
+def _moments(weights: np.ndarray, values: np.ndarray):
+    """(mean, variance) of each row: sum w x, and sum w x^2 minus the mean
+    squared.  numpy sums each row of a C-ordered array as it sums that row
+    alone, and float_power squares by libm's pow, as a Python float's ** 2
+    does (x * x differs in the last bit for about 1 in 1200 x), so each row
+    gives the bits of its point alone."""
+    mean = (weights * values).sum(axis=-1)
+    return mean, (weights * values**2).sum(axis=-1) - np.float_power(mean, 2)
 
 
-def _check_conditional_mean(params: dict) -> tuple[float, float, bool, str]:
-    values = np.asarray(params["values"])
-    if (values < 0).any():
-        return None, None, False, "needs a nonnegative variable"
-    pe, mean, _, cmean, _ = _cond_stats(params["probs"], params["values"],
-                                        params["event"])
-    return cmean, mean / pe, True, ""
+def _event_entries(rows: np.ndarray, event: np.ndarray, k: int) -> np.ndarray:
+    """The k entries of each row inside its event, in order."""
+    return rows[event].reshape(len(rows), k)
 
 
-def _check_cdf_contraction(params: dict) -> tuple[float, float, bool, str]:
-    probs = np.asarray(params["probs"])
-    values = np.asarray(params["values"])
-    mean = float((probs * values).sum())
-    var = float((probs * values**2).sum()) - mean**2
-    phi = np.asarray([normal_cdf(v) for v in values])
-    pmean = float((probs * phi).sum())
-    pvar = float((probs * phi**2).sum()) - pmean**2
-    return pvar, var, True, ""
+def _conditional_stats(points: list[dict]) -> list[np.ndarray]:
+    """[P(E), mean, variance, conditional mean, conditional variance] of X,
+    each an array over the points in order."""
+    out = [np.empty(len(points)) for _ in range(5)]
+    for idx, k, (probs, values, event) in _stacked(
+            points, ("probs", "values", "event")):
+        eprobs, evalues = (_event_entries(a, event, k) for a in (probs, values))
+        pe = eprobs.sum(axis=-1)
+        mean, var = _moments(probs, values)
+        cmean, cvar = _moments(eprobs / pe[:, None], evalues)
+        for col, stat in zip(out, (pe, mean, var, cmean, cvar)):
+            col[idx] = stat
+    return out
 
 
+def _check_conditional_variance(points: list[dict]) -> list[tuple]:
+    pe, _, var, _, cvar = (s.tolist() for s in _conditional_stats(points))
+    return [(cv, v / e, True, "") for e, v, cv in zip(pe, var, cvar)]
+
+
+def _check_conditional_mean(points: list[dict]) -> list[tuple]:
+    ok = [i for i, params in enumerate(points)
+          if not any(v < 0 for v in params["values"])]
+    pe, mean, _, cmean, _ = (s.tolist() for s in
+                             _conditional_stats([points[i] for i in ok]))
+    out = [(None, None, False, "needs a nonnegative variable")] * len(points)
+    for i, e, m, cm in zip(ok, pe, mean, cmean):
+        out[i] = (cm, m / e, True, "")
+    return out
+
+
+def _check_cdf_contraction(points: list[dict]) -> list[tuple]:
+    lhs, rhs = np.empty(len(points)), np.empty(len(points))
+    for idx, _, (probs, values) in _stacked(points, ("probs", "values")):
+        phi = np.fromiter(map(normal_cdf, values.ravel().tolist()), float,
+                          values.size).reshape(values.shape)
+        rhs[idx] = _moments(probs, values)[1]
+        lhs[idx] = _moments(probs, phi)[1]
+    return [(a, b, True, "") for a, b in zip(lhs.tolist(), rhs.tolist())]
+
+
+def _each(check):
+    """A check of all of a lemma's points from a check of one point."""
+    return lambda points: [check(params) for params in points]
+
+
+def _sharing_windows(check):
+    """`_each` for a point-mass check, its points sharing one window reader."""
+    def check_all(points):
+        mass = _window_reader()
+        return [check(params, mass) for params in points]
+    return check_all
+
+
+# A check takes all of a lemma's grid points and returns (lhs, rhs,
+# asserted, reason) for each, in order; lhs None marks a skipped point.
 _CHECKS = {
-    "clt_supremum": (_check_clt_supremum, "<="),
-    "pointmass_upper": (_check_pointmass_upper, "<="),
-    "step_bound": (_check_step_bound, "<="),
-    "equal_point_lower": (_check_equal_point_lower, ">="),
-    "pointmass_lower": (_check_pointmass_lower, ">="),
+    "clt_supremum": (_each(_check_clt_supremum), "<="),
+    "pointmass_upper": (_sharing_windows(_check_pointmass_upper), "<="),
+    "step_bound": (_each(_check_step_bound), "<="),
+    "equal_point_lower": (_sharing_windows(_check_equal_point_lower), ">="),
+    "pointmass_lower": (_sharing_windows(_check_pointmass_lower), ">="),
     "conditional_variance": (_check_conditional_variance, "<="),
     "conditional_mean": (_check_conditional_mean, "<="),
     "cdf_contraction": (_check_cdf_contraction, "<="),
@@ -313,9 +388,8 @@ def verify_appendix_a(
     for lemma_id, points in grid.items():
         if lemma_id not in _CHECKS:
             raise ValueError(f"unknown check: {lemma_id}")
-        fn, direction = _CHECKS[lemma_id]
-        for params in points:
-            lhs, rhs, asserted, reason = fn(params)
+        check, direction = _CHECKS[lemma_id]
+        for params, (lhs, rhs, asserted, reason) in zip(points, check(points)):
             if lhs is None:
                 report.points.append(InequalityPoint(
                     lemma_id, params, None, None, None, None, False, reason))

@@ -8,8 +8,9 @@ previous day:
 * biased rule: take color 1 if d1 >= d2, color 2 if d1 <= d2 - 2, keep the
   current color only at d1 = d2 - 1.
 
-`margins` is the one computation of a graph's d1 - d2, for the simulator and
-the structural sets, and the kernel of each day of `run`.  `keep_margin`
+`margins` is the one computation of a graph's d1 - d2, for the simulator,
+the structural sets and the sampled bound report (on a stack of graphs),
+and the kernel of each day of `run`.  `keep_margin`
 writes the thresholds and `takes_color1` is the one threshold, called by the
 simulator, the exact oracle, the structural sets and the Fourier keep
 indicators; `stats.compute_mu` and `compute_mu_exact` read the keep margin.
@@ -118,15 +119,21 @@ def takes_color1(margin, color1, rule: UpdateRule):
 
 
 def margins(g: ColoredGraph, color1_words: np.ndarray) -> np.ndarray:
-    """d1 - d2 of every vertex when color1_words packs the color-1 vertices:
-    rows are ANDed and popcounted one block of about 2^17 words at a time,
-    so the temporary stays in L2, and the popcounts are summed in int32."""
-    n, w = g.adj.shape
+    """d1 - d2 of every vertex when color1_words packs the color-1 vertices.
+
+    g may be a stack of graphs: adj (..., n, W) with leading batch axes, and
+    color1_words (..., W) and degrees (..., n) to match.  Rows are ANDed and
+    popcounted one block of about 2^17 words per graph at a time, so the
+    temporary of one graph stays in L2, and the popcounts are summed in
+    int32."""
+    n, w = g.adj.shape[-2:]
     rows = max(1, (1 << 17) // max(w, 1))
-    d1 = np.empty(n, dtype=np.int32)
+    d1 = np.empty(g.adj.shape[:-1], dtype=np.int32)
+    # a stack's words reach its graphs' rows through a new axis
+    words = color1_words if color1_words.ndim == 1 else color1_words[..., None, :]
     for r in range(0, n, rows):
-        np.bitwise_count(g.adj[r:r + rows] & color1_words).sum(
-            axis=1, dtype=np.int32, out=d1[r:r + rows])
+        np.bitwise_count(g.adj[..., r:r + rows, :] & words).sum(
+            axis=-1, dtype=np.int32, out=d1[..., r:r + rows])
     return 2 * d1 - g.degrees
 
 

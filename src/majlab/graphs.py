@@ -51,16 +51,20 @@ def _n_words(n: int) -> int:
 
 
 def pack_color_mask(flags: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector of length n into uint64 words, bit j -> word j>>6, bit j&63."""
-    padded = np.zeros(_n_words(flags.shape[0]) * _WORD, dtype=bool)
-    padded[:flags.shape[0]] = flags
-    return np.packbits(padded, bitorder="little").view("<u8")
+    """Pack boolean flags (..., n) into uint64 words (..., W), bit j -> word
+    j>>6, bit j&63; leading axes index rows packed apart."""
+    n = flags.shape[-1]
+    padded = np.zeros((*flags.shape[:-1], _n_words(n) * _WORD), dtype=bool)
+    padded[..., :n] = flags
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
 
 
 def unpack_row(words: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_color_mask: uint64 words -> boolean vector of length n."""
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits[:n].astype(bool)
+    """Inverse of pack_color_mask: uint64 words (..., W) -> boolean flags
+    (..., n)."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=n,
+                         bitorder="little")
+    return bits.astype(bool)
 
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:

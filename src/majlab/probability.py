@@ -186,9 +186,28 @@ def _bindiff_window(n1: int, n2: int, p: float) -> tuple[int, np.ndarray]:
 
 
 def bindiff_pmf(n1: int, n2: int, p: float, d: int) -> float:
-    """P(Bin(n1,p) - Bin(n2,p) = d): BinDiffDist's value, without its table."""
-    lo, w = _bindiff_window(n1, n2, p)
-    return float(w[d - lo]) if 0 <= d - lo < w.shape[0] else 0.0
+    """P(Bin(n1,p) - Bin(n2,p) = d): BinDiffDist's value, bit for bit, from the
+    pmfs over the overlap of the two windows alone.
+
+    np.convolve, which builds the table, pairs the longer factor ascending
+    with the shorter one reversed, and sums the products by one BLAS dot, or,
+    where a factor of at most 11 entries overlaps in full, by numpy's
+    small-kernel loop, a plain running sum.  The same products in the same
+    order give the same value.
+    """
+    _check_counts(n1, n2)
+    _check_p(p)
+    lo1, hi1 = _window(n1, p)
+    lo2, hi2 = _window(n2, p)
+    # the terms X2 = k, X1 = k + d for k in [a, b]
+    a, b = max(lo2, lo1 - d), min(hi2, hi1 - d)
+    if a > b:
+        return 0.0
+    k = np.arange(a, b + 1) if hi2 - lo2 <= hi1 - lo1 else np.arange(b, a - 1, -1)
+    terms = _pmf(k + d, n1, p), _pmf(k, n2, p)
+    if b - a == min(hi1 - lo1, hi2 - lo2) <= 10:
+        return float(np.cumsum(terms[0] * terms[1])[-1])
+    return float(np.dot(*terms))
 
 
 def bindiff_cdf(n1: int, n2: int, p: float, d: int) -> float:

@@ -12,20 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .dynamics import (Unanimity, UpdateRule, default_cap, keep_margin,
                        margins, run, step, takes_color1)
-from .graphs import (ColoredGraph, FixedGap, GraphParams, pack_color_mask,
-                     sample_gnp, split_seed, unpack_row)
+from .graphs import (ColoredGraph, FixedGap, GraphParams, _n_words,
+                     pack_color_mask, sample_gnp, split_seed, unpack_row)
 from .probability import (BERRY_ESSEEN_C, bindiff_cdf, bindiff_geq_exact,
                           normal_pdf)
 # perfbench/tracer.py wraps compute_r_hat and compute_s_sets in this module's
 # namespace, so both names stay bound here though the report no longer calls them.
-from .structure import (compute_r_hat, compute_s_sets, focal_pair, rhat_flags,
-                        s_sets_flags)
+from .structure import (_at, compute_r_hat, compute_s_sets, focal_pair,
+                        rhat_flags, s_sets_flags)
 
 __all__ = [
     "ThresholdParams",
@@ -294,10 +294,13 @@ def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.n
 
     margin_of(flags): (..., n) d1 - d2 of every vertex when `flags` are the
     color-1 vertices; neighbours(x): (..., n) neighbour flags of x; color1:
-    (n,) day-0 color-1 flags; win1, win_day: whether color 1 won the
+    day-0 color-1 flags, (n,) for one coloring of every graph or (..., n)
+    for one coloring per graph; win1, win_day: whether color 1 won the
     standard run within its cap, and on which day (read only where it won).
     The leading axes may index a batch of graphs.  Focal vertices: v1 = u
-    and v of `focal_pair`, v2 the first color-2 vertex.
+    and v of `focal_pair`, v2 the first color-2 vertex, one per coloring,
+    so neighbours(x) is called with one vertex per graph where the
+    colorings are per graph.
     """
     std = UpdateRule.STANDARD
     m0 = margin_of(color1)
@@ -305,7 +308,9 @@ def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.n
     day2 = takes_color1(margin_of(day1), day1, std)
     day3 = takes_color1(margin_of(day2), day2, std)
     u, v = focal_pair(color1)
-    v2 = int(np.flatnonzero(~color1)[0])
+    if np.any(np.all(color1, axis=-1)):
+        raise ValueError("trial records need a color-2 vertex")
+    v2 = np.argmax(~color1, axis=-1)
     s1, s2, ss = s_sets_flags(m0, color1, neighbours, u, v)
 
     def count(flags):  # einsum sums a short last axis faster than sum()
@@ -317,33 +322,64 @@ def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.n
         "rhat1": count(rhat_flags(m0, color1, neighbours, u)),
         "rhat2": count(rhat_flags(m0, color1, neighbours, v2)),
         "c12": count(day2),
-        "c23": len(color1) - count(day3),
+        "c23": color1.shape[-1] - count(day3),
         "win1": win1,
         "win_day": np.where(win1, win_day, np.nan),
         "s1": count(s1),
         "s2": count(s2),
         "ss": count(ss),
         "ig": count(ss & neighbours(u) & neighbours(v)),
-        "v1_in_c12": day2[..., u],
-        "v2_in_c12": day2[..., v2],
+        "v1_in_c12": _at(day2, u),
+        "v2_in_c12": _at(day2, v2),
     }
     return {name: np.asarray(col, dtype=np.float64) for name, col in cols.items()}
 
 
+class _GraphStack(NamedTuple):
+    """Graphs stacked for `margins`: adjacency words (B, n, W), degrees
+    (B, n)."""
+    adj: np.ndarray
+    degrees: np.ndarray
+
+
+# adjacency bytes of the graphs stacked for one trial_record call: a chunk
+# is one block of `margins`, and at n = 10^4 (12.6 MB a graph) one graph
+_CHUNK_BYTES = 1 << 20
+
+
 def _gather_trial_quantities(n: int, p: float, delta, trials: int,
                              master_seed: int, cap: int) -> dict[str, np.ndarray]:
-    """`trial_record` of `trials` sampled graphs, one row per graph."""
+    """`trial_record` of `trials` sampled graphs, one row per graph.
+
+    Trial t samples and runs its graph on its own, from split_seed(master,
+    t).  The graphs of each chunk of _CHUNK_BYTES of adjacency are then
+    stacked, with their own colorings, for one trial_record call.
+    """
     scheme = FixedGap.from_delta(delta)
-    records = []
-    for t in range(trials):
-        g = sample_gnp(GraphParams(n, p, split_seed(master_seed, t)), scheme)
-        end = run(g, UpdateRule.STANDARD, cap).termination
-        win1 = isinstance(end, Unanimity) and end.winner == 1
-        records.append(trial_record(
-            lambda flags: margins(g, pack_color_mask(flags)),
-            lambda x: unpack_row(g.adj[x], n), g.colors == 1,
-            win1, end.day if win1 else 0))
-    return {name: np.array([r[name] for r in records]) for name in records[0]}
+    chunk = min(trials, max(1, _CHUNK_BYTES // (8 * n * _n_words(n))))
+    adj = np.empty((chunk, n, _n_words(n)), dtype=np.uint64)
+    degrees = np.empty((chunk, n), dtype=np.int64)
+    color1 = np.empty((chunk, n), dtype=bool)
+    win1 = np.empty(chunk, dtype=bool)
+    win_day = np.empty(chunk, dtype=np.int64)
+    parts = []
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        for i in range(size):
+            g = sample_gnp(GraphParams(n, p, split_seed(master_seed, start + i)),
+                           scheme)
+            end = run(g, UpdateRule.STANDARD, cap).termination
+            adj[i], degrees[i], color1[i] = g.adj, g.degrees, g.colors == 1
+            win1[i] = isinstance(end, Unanimity) and end.winner == 1
+            win_day[i] = end.day if win1[i] else 0
+        stack = _GraphStack(adj[:size], degrees[:size])
+        rows = np.arange(size)
+        parts.append(trial_record(
+            lambda flags: margins(stack, pack_color_mask(flags)),
+            lambda x: unpack_row(stack.adj[rows, x], n),
+            color1[:size], win1[:size], win_day[:size]))
+    return {name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]}
 
 
 def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,

@@ -13,12 +13,15 @@ the sets are independent of the focal neighbourhoods.
 `rhat_flags` and `s_sets_flags` are the one definition of these sets.  They
 read day-0 margins, color-1 flags and a neighbour lookup, so the leading
 axes of their inputs may index a batch of graphs: the exact oracle calls
-them on every edge configuration at once.  They also check that the focal
-vertices are in range, distinct and (for s-sets) of color 1.
+them on every edge configuration of one coloring at once, and the sampled
+bound report on a stack of graphs, each with its own coloring and focal
+vertices.  They also check that the focal vertices are in range, distinct
+and (for s-sets) of color 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -66,47 +69,67 @@ class StructuralReport:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
-def _check_focal(n: int, *vertices: int) -> None:
+def _at(flags, x):
+    """flags[..., x] for one vertex x, or for one vertex per row when x is an
+    integer array over flags' leading axes."""
+    if np.ndim(x) == 0:
+        return flags[..., x]
+    return np.take_along_axis(flags, x[..., None], axis=-1)[..., 0]
+
+
+def _clear(flags: np.ndarray, x) -> None:
+    """flags[..., x] = False, with x as for `_at`."""
+    if np.ndim(x) == 0:
+        flags[..., x] = False
+    else:
+        np.put_along_axis(flags, x[..., None], False, axis=-1)
+
+
+def _check_focal(n: int, *vertices) -> None:
     for x in vertices:
-        if not 0 <= x < n:
+        if not np.all((0 <= x) & (x < n)):
             raise ValueError(f"vertex {x} out of range for n={n}")
-    if len(set(vertices)) < len(vertices):
+    if any(np.any(a == b) for a, b in itertools.combinations(vertices, 2)):
         raise ValueError("focal vertices must be distinct")
 
 
 def focal_pair(color1, u: Optional[int] = None,
-               v: Optional[int] = None) -> tuple[int, int]:
+               v: Optional[int] = None) -> tuple:
     """The focal pair of the s-sets: (u, v) when both are given, the first
-    two color-1 vertices when neither is."""
+    two color-1 vertices when neither is.  For colorings with leading axes,
+    one row per graph, u and v are arrays of one vertex per row."""
     if (u is None) != (v is None):
         raise ValueError("set statistics take both of u and v, or neither")
     if u is not None:
         return u, v
-    ones = np.flatnonzero(color1)
-    if len(ones) < 2:
+    rank = np.cumsum(color1, axis=-1)  # color-1 vertices up to each vertex
+    if np.any(rank[..., -1] < 2):
         raise ValueError("set statistics need two color-1 vertices")
-    return int(ones[0]), int(ones[1])
+    u, v = np.argmax(rank >= 1, axis=-1), np.argmax(rank >= 2, axis=-1)
+    return (int(u), int(v)) if np.ndim(u) == 0 else (u, v)
 
 
-def rhat_flags(margin, color1, neighbours, w: int) -> np.ndarray:
+def rhat_flags(margin, color1, neighbours, w) -> np.ndarray:
     """Membership of r-hat(w): vertices u != w with d1 + L(w) >= d2 (color-1
     u) or > d2 (color-2 u), the splits taken in G - w and L(w) = +1/-1 for w
     color 1/2.
 
-    margin: (..., n) day-0 d1 - d2; color1: (n,) flags of one coloring;
-    neighbours(x): (..., n) neighbour flags of vertex x.
+    margin: (..., n) day-0 d1 - d2; color1: (n,) flags of one coloring, or
+    (..., n) with one coloring per graph; w: one vertex, or with per-graph
+    colorings one vertex per graph; neighbours(x): (..., n) neighbour flags
+    of x (x as w).
     """
-    _check_focal(len(color1), w)
-    lw = 1 if color1[w] else -1
-    # the margin in G - w is m - L(w) e_w; then w's own vote L(w) is added.
-    # e_w takes the margin's dtype, so an int8 margin stays int8.
+    _check_focal(np.shape(color1)[-1], w)
+    # L(w), in the margin's dtype so that an int8 margin stays int8
+    lw = np.where(_at(color1, w), 1, -1).astype(margin.dtype)[..., None]
+    # the margin in G - w is m - L(w) e_w; then w's own vote L(w) is added
     ew = neighbours(w).astype(margin.dtype)
     member = takes_color1(margin + lw * (1 - ew), color1, UpdateRule.STANDARD)
-    member[..., w] = False
+    _clear(member, w)
     return member
 
 
-def s_sets_flags(margin, color1, neighbours, u: int, v: int):
+def s_sets_flags(margin, color1, neighbours, u, v):
     """(s1, s2, s_star) flags of the color-1 focal pair (u, v), with inputs
     as for `rhat_flags`.
 
@@ -114,15 +137,16 @@ def s_sets_flags(margin, color1, neighbours, u: int, v: int):
     in s1 (color 1 on day 1 with one color-1 focal neighbour), s2 (color 2
     even with both) or s_star (the rest).
     """
-    _check_focal(len(color1), u, v)
-    if not (color1[u] and color1[v]):
+    _check_focal(np.shape(color1)[-1], u, v)
+    if not np.all(_at(color1, u) & _at(color1, v)):
         raise ValueError("both focal vertices must have color 1")
     gap = margin - neighbours(u) - neighbours(v)
     s1 = takes_color1(gap + 1, color1, UpdateRule.STANDARD)
     s2 = ~takes_color1(gap + 2, color1, UpdateRule.STANDARD)
     sets = s1, s2, ~(s1 | s2)
     for flags in sets:
-        flags[..., u] = flags[..., v] = False
+        _clear(flags, u)
+        _clear(flags, v)
     return sets
 
 

@@ -10,6 +10,17 @@ brute force (`conftest.brute_fourier`) is too slow.
 sampler that `graphs.sample_gnp` streamed by blocks replaced: every present
 pair index of the sample in one array, then every (i, j) pair.  They anchor
 the blocked sampler's bits and the generator state it leaves.
+
+`appendix_a_point_by_point` evaluates the Appendix A checks one point at a
+time, as `verify_appendix_a` did before it batched them: each point-mass
+value is its own `bindiff_pmf` (one sum over the windows' overlap, not a
+shared window), and each finite space has its own 1-D numpy sums, in the
+point-by-point finite-space checks below.  It anchors the batched checks'
+verdicts and bits.
+
+`trial_records_graph_by_graph` is the bound report's sampled columns with
+one `trial_record` call per graph, as before the graphs were stacked: it
+anchors the stacked chunks, their per-graph colorings and focal vertices.
 """
 
 from __future__ import annotations
@@ -18,8 +29,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from majlab import appendix_a
+from majlab.appendix_a import InequalityPoint, InequalityReport
+from majlab.dynamics import Unanimity, UpdateRule, margins, run
 from majlab.fourier import edge_list
-from majlab.graphs import _geometric_skips
+from majlab.graphs import (FixedGap, GraphParams, _geometric_skips,
+                           pack_color_mask, sample_gnp, split_seed, unpack_row)
+from majlab.probability import bindiff_pmf, normal_cdf
+from majlab.stats import trial_record
 
 
 def star_edges(m: int, v: int) -> list[int]:
@@ -101,3 +118,99 @@ def _pairs_from_linear(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     counts, rows, starts = ends[1:] - ends[:-1], rows[:-1], starts[:-1]
     # j = i + 1 + (idx - starts[i]), with the per-row offset repeated
     return np.repeat(rows, counts), idx - np.repeat(starts - rows - 1, counts)
+
+
+# ----------------------------------------------------------------------
+# Appendix A, one point at a time
+
+def _cond_stats(probs, values, event):
+    probs = np.asarray(probs)
+    values = np.asarray(values)
+    event = np.asarray(event, dtype=bool)
+    pe = float(probs[event].sum())
+    mean = float((probs * values).sum())
+    var = float((probs * values**2).sum()) - mean**2
+    cp = probs[event] / pe
+    cmean = float((cp * values[event]).sum())
+    cvar = float((cp * values[event] ** 2).sum()) - cmean**2
+    return pe, mean, var, cmean, cvar
+
+
+def _conditional_variance(params):
+    pe, _, var, _, cvar = _cond_stats(params["probs"], params["values"],
+                                      params["event"])
+    return cvar, var / pe, True, ""
+
+
+def _conditional_mean(params):
+    values = np.asarray(params["values"])
+    if (values < 0).any():
+        return None, None, False, "needs a nonnegative variable"
+    pe, mean, _, cmean, _ = _cond_stats(params["probs"], params["values"],
+                                        params["event"])
+    return cmean, mean / pe, True, ""
+
+
+def _cdf_contraction(params):
+    probs = np.asarray(params["probs"])
+    values = np.asarray(params["values"])
+    mean = float((probs * values).sum())
+    var = float((probs * values**2).sum()) - mean**2
+    phi = np.asarray([normal_cdf(v) for v in values])
+    pmean = float((probs * phi).sum())
+    pvar = float((probs * phi**2).sum()) - pmean**2
+    return pvar, var, True, ""
+
+
+def _with_bindiff_pmf(check):
+    return lambda params: check(params, bindiff_pmf)
+
+
+APPENDIX_A_POINT_CHECKS = {
+    "clt_supremum": appendix_a._check_clt_supremum,
+    "pointmass_upper": _with_bindiff_pmf(appendix_a._check_pointmass_upper),
+    "step_bound": appendix_a._check_step_bound,
+    "equal_point_lower": _with_bindiff_pmf(appendix_a._check_equal_point_lower),
+    "pointmass_lower": _with_bindiff_pmf(appendix_a._check_pointmass_lower),
+    "conditional_variance": _conditional_variance,
+    "conditional_mean": _conditional_mean,
+    "cdf_contraction": _cdf_contraction,
+}
+
+
+def appendix_a_point_by_point(grid: dict[str, list[dict]]) -> InequalityReport:
+    """`verify_appendix_a(grid)` with each point evaluated alone."""
+    report = InequalityReport()
+    for lemma_id, points in grid.items():
+        direction = appendix_a._CHECKS[lemma_id][1]
+        for params in points:
+            lhs, rhs, asserted, reason = APPENDIX_A_POINT_CHECKS[lemma_id](params)
+            if lhs is None:
+                report.points.append(InequalityPoint(
+                    lemma_id, params, None, None, None, None, False, reason))
+                continue
+            slack = (rhs - lhs) if direction == "<=" else (lhs - rhs)
+            report.points.append(InequalityPoint(
+                lemma_id, params, lhs, rhs, slack, slack >= -1e-9,
+                asserted, reason or None))
+    return report
+
+
+# ----------------------------------------------------------------------
+# the sampled bound report, one graph at a time
+
+def trial_records_graph_by_graph(n: int, p: float, delta, trials: int,
+                                 master_seed: int, cap: int) -> dict[str, np.ndarray]:
+    """`stats._gather_trial_quantities` with one trial_record call per
+    sampled graph, on that graph's own (n,) coloring and adjacency rows."""
+    scheme = FixedGap.from_delta(delta)
+    records = []
+    for t in range(trials):
+        g = sample_gnp(GraphParams(n, p, split_seed(master_seed, t)), scheme)
+        end = run(g, UpdateRule.STANDARD, cap).termination
+        win1 = isinstance(end, Unanimity) and end.winner == 1
+        records.append(trial_record(
+            lambda flags: margins(g, pack_color_mask(flags)),
+            lambda x: unpack_row(g.adj[x], n), g.colors == 1,
+            win1, end.day if win1 else 0))
+    return {name: np.array([r[name] for r in records]) for name in records[0]}

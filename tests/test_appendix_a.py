@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 from majlab.appendix_a import (LEMMA_IDS, default_grid, small_grid,
                                verify_appendix_a)
 from majlab.probability import BERRY_ESSEEN_C, BinDiffDist
+
+from reference import appendix_a_point_by_point
 
 
 def test_small_grid_all_pass():
@@ -129,3 +132,58 @@ def test_conditional_points_never_draw_the_whole_space(seed):
             assert any(params["event"]) and not all(params["event"]), params
     report = verify_appendix_a({k: grid[k] for k in lemmas})
     assert all(pt.passed and pt.slack > 0 for pt in report.points)
+
+
+@pytest.mark.parametrize("grid", [
+    lambda: default_grid(0), lambda: default_grid(1), lambda: default_grid(7),
+    lambda: small_grid(0),
+], ids=["default-0", "default-1", "default-7", "small-0"])
+def test_batched_checks_match_point_by_point(grid):
+    # order, params, both sides to the bit, asserted, pass and reason
+    grid = grid()
+    assert (verify_appendix_a(grid).to_json()
+            == appendix_a_point_by_point(grid).to_json())
+
+
+@pytest.mark.parametrize("grid", [
+    {"clt_supremum": [{"n_pos": 0, "n_neg": 0, "p": 0.3}]},
+    {"clt_supremum": [{"n_pos": 3, "n_neg": 1, "p": 1.0}]},
+    {"pointmass_upper": [{"n1": 5, "n2": 5, "p": 0.1, "d": 0}]},
+    {"pointmass_upper": [{"n1": 5, "n2": 5, "p": 0.0, "d": 2}]},
+    {"step_bound": [{"n": 100, "m": 50, "p": 0.3}]},
+    {"step_bound": [{"n": 600, "m": 700, "p": 0.3}]},
+    {"step_bound": [{"n": 600, "m": 60, "p": 0.001}]},
+    {"equal_point_lower": [{"n": 10, "p": 0.3}]},
+    {"equal_point_lower": [{"n": 100, "p": 0.999}]},
+    {"pointmass_lower": [{"n": 100, "p": 0.3, "d": 1}]},
+    {"pointmass_lower": [{"n": 600, "p": 0.999, "d": 1}]},
+    {"conditional_mean": [{"probs": [0.5, 0.5], "values": [-1.0, 1.0],
+                           "event": [True, False]}]},
+    # skipped points among kept ones of several support and event sizes
+    {"conditional_mean": [
+        {"probs": [0.2, 0.3, 0.5], "values": [1.0, 2.0, 3.0],
+         "event": [True, False, True]},
+        {"probs": [0.5, 0.5], "values": [-1.0, 1.0], "event": [True, False]},
+        {"probs": [0.25] * 4, "values": [0.5, 4.0, 1.0, 2.0],
+         "event": [False, True, False, False]},
+        {"probs": [0.1, 0.9], "values": [2.0, 1.0], "event": [True, False]}],
+     "pointmass_upper": [{"n1": 5, "n2": 5, "p": 0.1, "d": 0},
+                         {"n1": 5, "n2": 5, "p": 0.1, "d": 1},
+                         {"n1": 5, "n2": 5, "p": 0.5, "d": 1},
+                         {"n1": 5, "n2": 5, "p": 0.1, "d": 7}]},
+])
+def test_skipped_points_match_point_by_point(grid):
+    report = verify_appendix_a(grid)
+    assert report.to_json() == appendix_a_point_by_point(grid).to_json()
+    assert any(pt.passed is None and pt.reason for pt in report.points)
+
+
+def test_report_json_matches_the_asdict_records():
+    # to_dict builds each record without deep-copying its params
+    report = verify_appendix_a(small_grid(0))
+    records = []
+    for pt in report.points:
+        record = dataclasses.asdict(pt)
+        record["pass"] = record.pop("passed")
+        records.append(record)
+    assert report.to_json() == json.dumps(records, sort_keys=True)

@@ -17,7 +17,9 @@ trip exactly the checks listed beside it:
   subset mask and every configuration's function value, disagree with the
   brute force over the whole edge cube (`conftest.brute_fourier`);
 * "appendix_a.<lemma_id>": an asserted point of
-  `verify_appendix_a(small_grid(0))` fails that check.
+  `verify_appendix_a(small_grid(0))` fails that check.  Besides the shared
+  kernels, the batched checks' own kernels are mutated: the point-mass
+  window cache, the finite spaces' row moments and their event entries.
 
 A method is patched on its class.
 """
@@ -30,8 +32,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from majlab import oracle
-from majlab.appendix_a import small_grid, verify_appendix_a
+from majlab import oracle, probability
+from majlab.appendix_a import (LEMMA_IDS, _event_entries, _moments,
+                               _window_reader, small_grid, verify_appendix_a)
 from majlab.dynamics import (CapReached, TwoCycle, Unanimity, UpdateRule,
                              keep_margin, margins, run, takes_color1)
 from majlab.fourier import (_class_stars, _class_sums, _masses, edge_list,
@@ -165,6 +168,29 @@ def _bindiff_window_with(reverse=True, flip=False):
     return kernel
 
 
+def _windows_keyed_without_p():
+    # the batched point-mass checks' window cache, keyed by (n1, n2) alone:
+    # every p of a pair reads the window of the first p it met
+    windows = {}
+
+    def mass(n1, n2, p, d):
+        if (n1, n2) not in windows:
+            windows[n1, n2] = probability._bindiff_window(n1, n2, p)
+        lo, w = windows[n1, n2]
+        return float(w[d - lo]) if 0 <= d - lo < w.shape[0] else 0.0
+    return mass
+
+
+def _moments_arguments_swapped(weights, values):
+    return _moments(values, weights)
+
+
+def _event_entries_column_major(rows, event, k):
+    # the event's entries gathered down the columns of the stacked points,
+    # so each row holds entries of several points
+    return rows.T[event.T].reshape(len(rows), k)
+
+
 def _s_sets_then(post):
     return lambda *args: post(*s_sets_flags(*args))
 
@@ -216,6 +242,16 @@ MUTANTS = {
     "bindiff-x2-at-1-minus-p": (_bindiff_window,
                                 _bindiff_window_with(flip=True),
                                 _BINDIFF_LABELS),
+    "pointmass-windows-keyed-without-p": (_window_reader,
+                                          _windows_keyed_without_p,
+                                          {"appendix_a.pointmass_upper"}),
+    "moments-arguments-swapped": (_moments, _moments_arguments_swapped,
+                                  {"appendix_a.conditional_variance",
+                                   "appendix_a.cdf_contraction"}),
+    "event-entries-column-major": (_event_entries,
+                                   _event_entries_column_major,
+                                   {"appendix_a.conditional_variance",
+                                    "appendix_a.conditional_mean"}),
 }
 
 
@@ -309,7 +345,9 @@ def test_mutant_trips_its_checks(monkeypatch, name):
 
 def test_every_check_trips_under_some_mutant():
     tripped = set().union(*(expected for *_, expected in MUTANTS.values()))
-    # no mutant trips appendix_a's pointmass_upper, step_bound or its three
-    # finite-space checks
+    # step_bound is the one check no mutant trips: on small_grid(0) its
+    # largest step is under 1/40 of its bound and the table's peak under
+    # half of it, so no table that stays a sub-probability vector can fail it
     assert tripped == {*_SCAN_LABELS, "golden", "trajectory", "simulator",
-                       "fourier", *_BINDIFF_LABELS}
+                       "fourier", *(f"appendix_a.{lemma}" for lemma in LEMMA_IDS
+                                    if lemma != "step_bound")}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -92,6 +93,17 @@ def test_bindiff_table_mass_and_cdf():
         for d in (-3, 0, 1, 5):
             assert bindiff_pmf(n1, n2, p, d) == dist.pmf(d)
             assert bindiff_cdf(n1, n2, p, d) == dist.cdf(d)
+    # bindiff_pmf sums only the overlap of the two windows, in the table's
+    # order: either window the longer, windows of at most 11 entries in full
+    # or partial overlap, p at and next to 0 and 1, and d past the support
+    pairs = [(0, 0), (1, 0), (0, 3), (1, 1), (2, 1), (5, 5), (10, 7), (7, 30),
+             (10, 10), (11, 11), (12, 2), (50, 30), (30, 50), (200, 100),
+             (1, 400), (3000, 20)]
+    for (n1, n2), p in itertools.product(
+            pairs, (0.0, 1e-300, 0.04, 0.2, 0.5, 0.93, 1.0)):
+        dist = BinDiffDist(n1, n2, p)
+        for d in range(-n2 - 2, n1 + 3, max(1, (n1 + n2) // 150)):
+            assert bindiff_pmf(n1, n2, p, d) == dist.pmf(d), (n1, n2, p, d)
 
 
 def test_bindiff_unimodal_when_equal_counts():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from majlab import stats
 from majlab.dynamics import UpdateRule, step
 from majlab.graphs import FixedGap, GraphParams, sample_gnp, split_seed
 from majlab.stats import (LEMMA_ANCHORS, ThresholdParams, centered_indicators,
@@ -13,6 +14,7 @@ from majlab.stats import (LEMMA_ANCHORS, ThresholdParams, centered_indicators,
                           moment_estimate)
 
 from conftest import brute_bindiff_geq, graph_trial_quantities
+from reference import trial_records_graph_by_graph
 
 
 def test_delta_threshold_log_identity():
@@ -241,6 +243,29 @@ def test_trial_record_matches_whole_graph_kernels(n, delta, p, cap):
     # 64-bit word boundary, on empty and complete graphs too
     got = _gather_trial_quantities(n, p, delta, 6, 5, cap)
     want = graph_trial_quantities(n, p, delta, 6, 5, cap)
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype, name
+        np.testing.assert_array_equal(got[name], col, err_msg=name)
+
+
+@pytest.mark.parametrize("n, delta, p, cap", [
+    (63, 1.5, 0.3, 50), (64, 2, 0.1, 3), (65, 0.5, 0.5, 50), (101, 0.5, 0.05, 1)])
+def test_stacked_trial_records_match_graph_by_graph(monkeypatch, n, delta, p,
+                                                     cap):
+    # chunks of three graphs: 7 trials span three chunks, the last one short;
+    # each graph keeps its own coloring and focal vertices in its chunk
+    monkeypatch.setattr(stats, "_CHUNK_BYTES", 3 * n * ((n + 63) // 64) * 8)
+    sizes, trial_record = [], stats.trial_record
+
+    def record(margin_of, neighbours, color1, win1, win_day):
+        sizes.append(len(color1))
+        return trial_record(margin_of, neighbours, color1, win1, win_day)
+
+    monkeypatch.setattr(stats, "trial_record", record)
+    got = _gather_trial_quantities(n, p, delta, 7, 9, cap)
+    assert sizes == [3, 3, 1]
+    want = trial_records_graph_by_graph(n, p, delta, 7, 9, cap)
     assert list(got) == list(want)
     for name, col in want.items():
         assert got[name].dtype == col.dtype, name

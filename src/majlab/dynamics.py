@@ -123,9 +123,9 @@ def margins(g: ColoredGraph, color1_words: np.ndarray) -> np.ndarray:
 
     g may be a stack of graphs: adj (..., n, W) with leading batch axes, and
     color1_words (..., W) and degrees (..., n) to match.  Rows are ANDed and
-    popcounted one block of about 2^17 words per graph at a time, so the
-    temporary of one graph stays in L2, and the popcounts are summed in
-    int32."""
+    popcounted one block of about 2^17 words of each graph at a time, so the
+    temporary of one graph stays in L2 (a stack's callers keep the whole
+    stack near that size), and the popcounts are summed in int32."""
     n, w = g.adj.shape[-2:]
     rows = max(1, (1 << 17) // max(w, 1))
     d1 = np.empty(g.adj.shape[:-1], dtype=np.int32)

@@ -7,10 +7,10 @@ near machine precision even for n ~ 1e6.  They and appendix_a's ndtr come
 from scipy.special._ufuncs alone, without the scipy.special __init__, whose
 array-API layer cost 0.2 s of every start-up; scipy's OpenBLAS, which that
 module starts, is loaded with its idle workers asleep instead of spinning.
-Every float value of X1 - X2, table or point, comes from one direct
+Every float value of X1 - X2, table or point, is a value of one direct
 convolution of the two pmfs over windows whose half-width t solves
 Bernstein's t^2 = 129 (npq + t/3), so each omitted tail of X1 or X2
-carries mass below e^-64.5 ~ 1e-28.
+carries mass below e^-64.5 ~ 1e-28; bindiff_pmf sums only its own value.
 Exact-rational twins of the small cases back the float paths in tests and
 in oracle mode.
 """

@@ -308,7 +308,7 @@ def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.n
     day2 = takes_color1(margin_of(day1), day1, std)
     day3 = takes_color1(margin_of(day2), day2, std)
     u, v = focal_pair(color1)
-    if np.any(np.all(color1, axis=-1)):
+    if color1.all(axis=-1).any():
         raise ValueError("trial records need a color-2 vertex")
     v2 = np.argmax(~color1, axis=-1)
     s1, s2, ss = s_sets_flags(m0, color1, neighbours, u, v)

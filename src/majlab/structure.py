@@ -69,27 +69,34 @@ class StructuralReport:
         return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
+def _per_row(x) -> bool:
+    """Whether x is one vertex per row (an integer array), not one vertex."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
 def _at(flags, x):
     """flags[..., x] for one vertex x, or for one vertex per row when x is an
     integer array over flags' leading axes."""
-    if np.ndim(x) == 0:
-        return flags[..., x]
-    return np.take_along_axis(flags, x[..., None], axis=-1)[..., 0]
+    if _per_row(x):
+        return np.take_along_axis(flags, x[..., None], axis=-1)[..., 0]
+    return flags[..., x]
 
 
 def _clear(flags: np.ndarray, x) -> None:
     """flags[..., x] = False, with x as for `_at`."""
-    if np.ndim(x) == 0:
-        flags[..., x] = False
-    else:
+    if _per_row(x):
         np.put_along_axis(flags, x[..., None], False, axis=-1)
+    else:
+        flags[..., x] = False
 
 
 def _check_focal(n: int, *vertices) -> None:
+    # plain comparisons for one vertex: the cube's scans call this per set
     for x in vertices:
-        if not np.all((0 <= x) & (x < n)):
+        if not (((0 <= x) & (x < n)).all() if _per_row(x) else 0 <= x < n):
             raise ValueError(f"vertex {x} out of range for n={n}")
-    if any(np.any(a == b) for a, b in itertools.combinations(vertices, 2)):
+    if any((a == b).any() if _per_row(a) else a == b
+           for a, b in itertools.combinations(vertices, 2)):
         raise ValueError("focal vertices must be distinct")
 
 
@@ -103,7 +110,7 @@ def focal_pair(color1, u: Optional[int] = None,
     if u is not None:
         return u, v
     rank = np.cumsum(color1, axis=-1)  # color-1 vertices up to each vertex
-    if np.any(rank[..., -1] < 2):
+    if (rank[..., -1] < 2).any():
         raise ValueError("set statistics need two color-1 vertices")
     u, v = np.argmax(rank >= 1, axis=-1), np.argmax(rank >= 2, axis=-1)
     return (int(u), int(v)) if np.ndim(u) == 0 else (u, v)
@@ -120,9 +127,11 @@ def rhat_flags(margin, color1, neighbours, w) -> np.ndarray:
     of x (x as w).
     """
     _check_focal(np.shape(color1)[-1], w)
-    # L(w), in the margin's dtype so that an int8 margin stays int8
-    lw = np.where(_at(color1, w), 1, -1).astype(margin.dtype)[..., None]
-    # the margin in G - w is m - L(w) e_w; then w's own vote L(w) is added
+    # L(w); one vertex's is a Python int, so an int8 margin stays int8
+    lw = (np.where(_at(color1, w), 1, -1)[..., None] if _per_row(w)
+          else 1 if color1[w] else -1)
+    # the margin in G - w is m - L(w) e_w; then w's own vote L(w) is added.
+    # e_w takes the margin's dtype too.
     ew = neighbours(w).astype(margin.dtype)
     member = takes_color1(margin + lw * (1 - ew), color1, UpdateRule.STANDARD)
     _clear(member, w)
@@ -138,7 +147,7 @@ def s_sets_flags(margin, color1, neighbours, u, v):
     even with both) or s_star (the rest).
     """
     _check_focal(np.shape(color1)[-1], u, v)
-    if not np.all(_at(color1, u) & _at(color1, v)):
+    if not (_at(color1, u) & _at(color1, v)).all():
         raise ValueError("both focal vertices must have color 1")
     gap = margin - neighbours(u) - neighbours(v)
     s1 = takes_color1(gap + 1, color1, UpdateRule.STANDARD)

@@ -24,8 +24,8 @@ from .probability import (BERRY_ESSEEN_C, bindiff_cdf, bindiff_geq_exact,
                           normal_pdf)
 # perfbench/tracer.py wraps compute_r_hat and compute_s_sets in this module's
 # namespace, so both names stay bound here though the report no longer calls them.
-from .structure import (_at, compute_r_hat, compute_s_sets, focal_pair,
-                        rhat_flags, s_sets_flags)
+from .structure import (compute_r_hat, compute_s_sets, focal_pair, rhat_flags,
+                        s_sets_flags)
 
 __all__ = [
     "ThresholdParams",
@@ -293,14 +293,12 @@ def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.n
     """The report's 14 per-graph quantities, in float64.
 
     margin_of(flags): (..., n) d1 - d2 of every vertex when `flags` are the
-    color-1 vertices; neighbours(x): (..., n) neighbour flags of x; color1:
-    day-0 color-1 flags, (n,) for one coloring of every graph or (..., n)
-    for one coloring per graph; win1, win_day: whether color 1 won the
-    standard run within its cap, and on which day (read only where it won).
-    The leading axes may index a batch of graphs.  Focal vertices: v1 = u
-    and v of `focal_pair`, v2 the first color-2 vertex, one per coloring,
-    so neighbours(x) is called with one vertex per graph where the
-    colorings are per graph.
+    color-1 vertices; neighbours(x): (..., n) neighbour flags of vertex x;
+    color1: (n,) day-0 color-1 flags, one coloring of every graph; win1,
+    win_day: whether color 1 won the standard run within its cap, and on
+    which day (read only where it won).  The leading axes may index a batch
+    of graphs.  Focal vertices: v1 = u and v of `focal_pair`, v2 the first
+    color-2 vertex.
     """
     std = UpdateRule.STANDARD
     m0 = margin_of(color1)
@@ -308,9 +306,9 @@ def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.n
     day2 = takes_color1(margin_of(day1), day1, std)
     day3 = takes_color1(margin_of(day2), day2, std)
     u, v = focal_pair(color1)
-    if color1.all(axis=-1).any():
+    if color1.all():
         raise ValueError("trial records need a color-2 vertex")
-    v2 = np.argmax(~color1, axis=-1)
+    v2 = int(np.argmax(~color1))
     s1, s2, ss = s_sets_flags(m0, color1, neighbours, u, v)
 
     def count(flags):  # einsum sums a short last axis faster than sum()
@@ -322,15 +320,15 @@ def trial_record(margin_of, neighbours, color1, win1, win_day) -> dict[str, np.n
         "rhat1": count(rhat_flags(m0, color1, neighbours, u)),
         "rhat2": count(rhat_flags(m0, color1, neighbours, v2)),
         "c12": count(day2),
-        "c23": color1.shape[-1] - count(day3),
+        "c23": len(color1) - count(day3),
         "win1": win1,
         "win_day": np.where(win1, win_day, np.nan),
         "s1": count(s1),
         "s2": count(s2),
         "ss": count(ss),
         "ig": count(ss & neighbours(u) & neighbours(v)),
-        "v1_in_c12": _at(day2, u),
-        "v2_in_c12": _at(day2, v2),
+        "v1_in_c12": day2[..., u],
+        "v2_in_c12": day2[..., v2],
     }
     return {name: np.asarray(col, dtype=np.float64) for name, col in cols.items()}
 
@@ -353,13 +351,17 @@ def _gather_trial_quantities(n: int, p: float, delta, trials: int,
 
     Trial t samples and runs its graph on its own, from split_seed(master,
     t).  The graphs of each chunk of _CHUNK_BYTES of adjacency are then
-    stacked, with their own colorings, for one trial_record call.
+    stacked for one trial_record call under the canonical split coloring
+    [1]*c1 + [2]*c2, as the exact oracle's: canonical vertex k of a graph is
+    its k-th vertex in the stable sort by color, so each graph's first two
+    color-1 vertices are 0 and 1 and its first color-2 vertex is c1.
     """
     scheme = FixedGap.from_delta(delta)
+    c1 = scheme.class_sizes(n)[0]
     chunk = min(trials, max(1, _CHUNK_BYTES // (8 * n * _n_words(n))))
     adj = np.empty((chunk, n, _n_words(n)), dtype=np.uint64)
     degrees = np.empty((chunk, n), dtype=np.int64)
-    color1 = np.empty((chunk, n), dtype=bool)
+    order = np.empty((chunk, n), dtype=np.intp)  # canonical -> own label
     win1 = np.empty(chunk, dtype=bool)
     win_day = np.empty(chunk, dtype=np.int64)
     parts = []
@@ -369,15 +371,27 @@ def _gather_trial_quantities(n: int, p: float, delta, trials: int,
             g = sample_gnp(GraphParams(n, p, split_seed(master_seed, start + i)),
                            scheme)
             end = run(g, UpdateRule.STANDARD, cap).termination
-            adj[i], degrees[i], color1[i] = g.adj, g.degrees, g.colors == 1
+            adj[i], degrees[i] = g.adj, g.degrees
+            order[i] = np.argsort(g.colors, kind="stable")
             win1[i] = isinstance(end, Unanimity) and end.winner == 1
             win_day[i] = end.day if win1[i] else 0
         stack = _GraphStack(adj[:size], degrees[:size])
         rows = np.arange(size)
-        parts.append(trial_record(
-            lambda flags: margins(stack, pack_color_mask(flags)),
-            lambda x: unpack_row(stack.adj[rows, x], n),
-            color1[:size], win1[:size], win_day[:size]))
+        # flat[i, k]: graph i's own label of canonical vertex k, as an index
+        # into a (size, n) array; take and flat assignment by it cost a third
+        # of take_along_axis and put_along_axis by order
+        flat = order[:size] + n * rows[:, None]
+
+        def margin_of(flags):
+            own = np.empty((size, n), dtype=bool)
+            own.reshape(-1)[flat] = flags
+            return margins(stack, pack_color_mask(own)).take(flat)
+
+        def neighbours(x):
+            return unpack_row(stack.adj[rows, order[:size, x]], n).take(flat)
+
+        parts.append(trial_record(margin_of, neighbours, np.arange(n) < c1,
+                                  win1[:size], win_day[:size]))
     return {name: np.concatenate([part[name] for part in parts])
             for name in parts[0]}
 
@@ -392,6 +406,8 @@ def lemma_report(n: int, p: float, delta, trials: int, master_seed: int = 0,
     report is in floats: a Fraction p is converted on entry.
     """
     p = float(p)
+    if not 0.0 < p < 1.0:  # NaN too
+        raise ValueError(f"p must lie in (0,1), got {p}")
     if trials < 100:
         raise ValueError("trials must be at least 100")
     if k < 0:

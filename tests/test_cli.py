@@ -355,6 +355,16 @@ def test_out_of_range_values_exit_2_before_any_trial(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("p", ["0", "1", "1.5", "-0.1", "nan"])
+@pytest.mark.parametrize("n", ["6", "200"])
+def test_report_lemmas_rejects_p_outside_the_open_unit_interval(capsys, n, p):
+    assert run_cli(["report", "lemmas", "--n", n, "--p", p,
+                    "--delta", "1"]) == 2
+    io = capsys.readouterr()
+    assert io.out == ""
+    assert io.err.splitlines() == [f"error: p must lie in (0,1), got {float(p)}"]
+
+
 def test_runtime_failure_exit_1(capsys):
     code = run_cli(["sets", "--graph", "/nonexistent/file.json"])
     assert code == 1

@@ -19,7 +19,11 @@ trip exactly the checks listed beside it:
 * "appendix_a.<lemma_id>": an asserted point of
   `verify_appendix_a(small_grid(0))` fails that check.  Besides the shared
   kernels, the batched checks' own kernels are mutated: the point-mass
-  window cache, the finite spaces' row moments and their event entries.
+  window cache, the finite spaces' row moments and their event entries;
+* "lemma_report": an asserted record of the exact bound report at n = 5
+  fails;
+* "oracle_vs_mc": one of four n <= 5 oracle queries is more than 4 standard
+  errors from its Monte Carlo estimate over 5000 sampled configurations.
 
 A method is patched on its class.
 """
@@ -40,10 +44,12 @@ from majlab.dynamics import (CapReached, TwoCycle, Unanimity, UpdateRule,
 from majlab.fourier import (_class_stars, _class_sums, _masses, edge_list,
                             fourier_coefficients)
 from majlab.graphs import ColoredGraph, unpack_row
-from majlab.oracle import (_Cube, _cube, exhaustive_identity_scan,
-                           mask_trajectory, oracle_eval, rows_from_mask)
+from majlab.oracle import (_Cube, _cube, ExpectedCount, OracleQuery, SetStat,
+                           VarCount, WinProb, exhaustive_identity_scan,
+                           mask_trajectory, oracle_eval, oracle_vs_mc,
+                           rows_from_mask)
 from majlab.probability import _bindiff_window, _pmf, _window, bindiff_geq_exact
-from majlab.stats import compute_mu_exact
+from majlab.stats import compute_mu_exact, lemma_report
 from majlab.structure import rhat_flags, s_sets_flags
 
 from conftest import brute_fourier, golden_records
@@ -53,6 +59,10 @@ _BINDIFF_LABELS = {"appendix_a.clt_supremum", "appendix_a.equal_point_lower",
                    "appendix_a.pointmass_lower"}
 _FOURIER_TABLES = [(3, (1, 1, 2), 1, 2), (4, (1, 1, 2, 2), 0, 1),
                    (4, (1, 1, 1, 2), 3, 3)]  # (m, colors, v, power) at p = 1/4
+_MC_CELLS = [OracleQuery(4, 0.3, (1, 1, 2, 2), WinProb(color=1)),
+             OracleQuery(5, 0.4, (1, 1, 1, 2, 2), ExpectedCount(day=1)),
+             OracleQuery(4, 0.35, (1, 1, 2, 2), VarCount(day=2)),
+             OracleQuery(5, 0.25, (1, 1, 1, 2, 2), SetStat("s_star"))]
 
 # the references share no kernel with any mutant, so one build serves all
 _brute_fourier = functools.cache(brute_fourier)
@@ -82,11 +92,12 @@ def _rhat_without_w_vote(margin, color1, neighbours, w):
     return rhat_flags(margin - (1 if color1[w] else -1), color1, neighbours, w)
 
 
-def _s_sets_read_at(s1_offset, s2_offset):
+def _s_sets_read_at(s1_offset, s2_offset, focal_edges=False):
     """s_sets_flags with s1 read at gap + s1_offset (correct: 1) and s2 at
-    gap + s2_offset (correct: 2)."""
+    gap + s2_offset (correct: 2), and with the edges towards u and v kept in
+    the gap if focal_edges (correct: taken out)."""
     def s_sets(margin, color1, neighbours, u, v):
-        gap = margin - neighbours(u) - neighbours(v)
+        gap = margin if focal_edges else margin - neighbours(u) - neighbours(v)
         s1 = takes_color1(gap + s1_offset, color1, UpdateRule.STANDARD)
         s2 = ~takes_color1(gap + s2_offset, color1, UpdateRule.STANDARD)
         sets = s1, s2, ~(s1 | s2)
@@ -216,6 +227,9 @@ MUTANTS = {
                          {"day2", "golden"}),
     "s2-at-gap-plus-3": (s_sets_flags, _s_sets_read_at(1, 3),
                          {"day2", "golden"}),
+    "s-sets-gap-keeps-the-focal-edges": (
+        s_sets_flags, _s_sets_read_at(1, 2, focal_edges=True),
+        {"day2", "golden", "lemma_report"}),
     "mu-at-standard-keep-margin": (compute_mu_exact,
                                    _mu_at_standard_keep_margin,
                                    {"centering", "golden", "fourier"}),
@@ -223,7 +237,7 @@ MUTANTS = {
                                  {"golden", "trajectory", "simulator",
                                   "fourier"}),
     "masses-at-1-minus-p": (_masses, _masses_at_1_minus_p,
-                            {"centering", "golden"}),
+                            {"centering", "golden", "oracle_vs_mc"}),
     "cube-run-blind-two-days-back": (_Cube.run, _cube_run(two_back=False),
                                      {"trajectory"}),
     "cube-run-without-parity": (_Cube.run, _cube_run(parity=False),
@@ -307,6 +321,11 @@ def _tripped_checks(monkeypatch):
     tripped |= {f"appendix_a.{pt.lemma_id}"
                 for pt in verify_appendix_a(small_grid(0)).points
                 if pt.asserted and pt.passed is False}
+    if lemma_report(5, 0.2, 0.5, trials=100).asserted_failures():
+        tripped.add("lemma_report")
+    if not all(oracle_vs_mc(q, 5000, master_seed=i).within_4se
+               for i, q in enumerate(_MC_CELLS)):
+        tripped.add("oracle_vs_mc")
     return tripped
 
 
@@ -349,5 +368,6 @@ def test_every_check_trips_under_some_mutant():
     # largest step is under 1/40 of its bound and the table's peak under
     # half of it, so no table that stays a sub-probability vector can fail it
     assert tripped == {*_SCAN_LABELS, "golden", "trajectory", "simulator",
-                       "fourier", *(f"appendix_a.{lemma}" for lemma in LEMMA_IDS
-                                    if lemma != "step_bound")}
+                       "fourier", "lemma_report", "oracle_vs_mc",
+                       *(f"appendix_a.{lemma}" for lemma in LEMMA_IDS
+                         if lemma != "step_bound")}

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majlab import stats
 from majlab.dynamics import UpdateRule, step
@@ -259,7 +262,7 @@ def test_stacked_trial_records_match_graph_by_graph(monkeypatch, n, delta, p,
     sizes, trial_record = [], stats.trial_record
 
     def record(margin_of, neighbours, color1, win1, win_day):
-        sizes.append(len(color1))
+        sizes.append(len(win1))
         return trial_record(margin_of, neighbours, color1, win1, win_day)
 
     monkeypatch.setattr(stats, "trial_record", record)
@@ -272,8 +275,50 @@ def test_stacked_trial_records_match_graph_by_graph(monkeypatch, n, delta, p,
         np.testing.assert_array_equal(got[name], col, err_msg=name)
 
 
+@st.composite
+def _stacked_reports(draw):
+    """(n, delta, p, trials, seed, cap, graphs per chunk) of a sampled report
+    with a gap delta >= 0, c1 >= 2 and c2 >= 1."""
+    n = draw(st.integers(3, 130))
+    c1 = draw(st.integers(max(2, (n + 1) // 2), n - 1))
+    p = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]) | st.floats(0.0, 1.0))
+    trials = draw(st.integers(1, 6))
+    return (n, c1 - n / 2, p, trials, draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(1, 50)), draw(st.integers(1, trials)))
+
+
+@given(_stacked_reports())
+@settings(deadline=None, max_examples=150)
+def test_stacked_trial_records_match_graph_by_graph_generated(report):
+    # any size, gap, p, cap and chunking: the relabelled stack against one
+    # trial_record call per graph on its own labels
+    n, delta, p, trials, seed, cap, per_chunk = report
+    with mock.patch.object(stats, "_CHUNK_BYTES",
+                           per_chunk * n * ((n + 63) // 64) * 8):
+        got = _gather_trial_quantities(n, p, delta, trials, seed, cap)
+    want = trial_records_graph_by_graph(n, p, delta, trials, seed, cap)
+    assert list(got) == list(want)
+    for name, col in want.items():
+        assert got[name].dtype == col.dtype, name
+        np.testing.assert_array_equal(got[name], col, err_msg=name)
+
+
 def test_lemma_report_validation():
     with pytest.raises(ValueError):
         lemma_report(50, 0.2, 2, trials=10)
     with pytest.raises(ValueError):
         lemma_report(10, 0.2, 5.0, trials=100)  # no color-2 vertex
+
+
+@pytest.mark.parametrize("p", [0, 1, 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("n", [6, 200])
+def test_lemma_report_rejects_p_outside_the_open_unit_interval(monkeypatch,
+                                                               n, p):
+    from majlab import oracle
+
+    def no_work(*_):
+        raise AssertionError("the report started its trials")
+    monkeypatch.setattr(stats, "_gather_trial_quantities", no_work)
+    monkeypatch.setattr(oracle, "enumerate_trial_quantities", no_work)
+    with pytest.raises(ValueError, match=r"p must lie in \(0,1\)"):
+        lemma_report(n, p, 1, trials=100)

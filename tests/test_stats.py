@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from majlab import stats
+from majlab import oracle, stats
 from majlab.dynamics import UpdateRule, step
 from majlab.graphs import FixedGap, GraphParams, sample_gnp, split_seed
 from majlab.stats import (LEMMA_ANCHORS, ThresholdParams, centered_indicators,
@@ -314,8 +314,6 @@ def test_lemma_report_validation():
 @pytest.mark.parametrize("n", [6, 200])
 def test_lemma_report_rejects_p_outside_the_open_unit_interval(monkeypatch,
                                                                n, p):
-    from majlab import oracle
-
     def no_work(*_):
         raise AssertionError("the report started its trials")
     monkeypatch.setattr(stats, "_gather_trial_quantities", no_work)
